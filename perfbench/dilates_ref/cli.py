@@ -1,0 +1,279 @@
+"""Command-line interface: sums, inequality checks, search, probe tables.
+
+Every subcommand prints one JSON payload with top-level keys "command",
+"params", "results"; `check` and `probe` can emit CSV instead. Identical
+inputs produce byte-identical payloads. Exit codes: 0 success, 1 a
+verified inequality failed, 2 usage or hypothesis error, 3 arithmetic
+range error.
+"""
+
+import argparse
+import csv
+import io
+import json
+import sys
+
+from .bounds import ap_exact_size, ap_recompute, check_suite
+from .errors import (
+    ArithmeticRangeError,
+    DilatesError,
+)
+from .intset import DilateSpec, IntSet, dilate_sum
+from .search import SearchConfig, conjecture_probe, min_dilate_sum
+
+
+class _UsageError(Exception):
+    pass
+
+
+def _parse_ints(text, flag):
+    parts = [p.strip() for p in text.split(",")]
+    if not parts or any(p == "" for p in parts):
+        raise _UsageError(f"{flag} expects comma-separated integers, got {text!r}")
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise _UsageError(f"{flag} expects comma-separated integers, got {text!r}")
+
+
+def _parse_set(text):
+    values = _parse_ints(text, "--set")
+    if len(values) != len(set(values)):
+        raise _UsageError(f"--set contains duplicate elements: {text!r}")
+    return IntSet(values)
+
+
+def _parse_coeffs(text):
+    return DilateSpec(tuple(_parse_ints(text, "--coeffs")))
+
+
+def _emit_json(payload):
+    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+
+
+def _emit_csv(header, rows):
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    sys.stdout.write(out.getvalue())
+
+
+def _cmd_sum(args):
+    a = _parse_set(args.set)
+    spec = _parse_coeffs(args.coeffs)
+    total = dilate_sum(a, spec)
+    _emit_json(
+        {
+            "command": "sum",
+            "params": {"set": list(a.elements), "coeffs": list(spec.coefficients)},
+            "results": {"size": len(total), "elements": list(total.elements)},
+        }
+    )
+    return 0
+
+
+_REPORT_COLUMNS = ("statement_id", "hypotheses_met", "lhs", "rhs", "slack", "verdict")
+
+
+def _cmd_check(args):
+    a = _parse_set(args.set)
+    reports = check_suite(a, args.k)
+    records = [r.to_record() for r in reports]
+    if args.csv:
+        _emit_csv(
+            _REPORT_COLUMNS,
+            [
+                ["" if rec[c] is None else rec[c] for c in _REPORT_COLUMNS]
+                for rec in records
+            ],
+        )
+    else:
+        _emit_json(
+            {
+                "command": "check",
+                "params": {"set": list(a.elements), "k": args.k},
+                "results": {"reports": records},
+            }
+        )
+    return 1 if any(r.verdict == "fails" for r in reports) else 0
+
+
+def _search_caveats(result, range_max):
+    if any(w.max == range_max for w in result.witnesses):
+        return [
+            f"a witness touches range_max={range_max}; the minimum is relative "
+            "to [0, range_max] and may drop for larger ranges"
+        ]
+    return []
+
+
+def _cmd_search(args):
+    config = SearchConfig(
+        spec=_parse_coeffs(args.coeffs),
+        cardinality=args.n,
+        range_max=args.range,
+        reflection_quotient=not args.no_reflect,
+        pruning=not args.no_prune,
+        parallel_width=args.threads,
+    )
+    result = min_dilate_sum(config)
+    results = result.to_payload()
+    results["caveats"] = _search_caveats(result, args.range)
+    _emit_json(
+        {
+            "command": "search",
+            "params": {
+                "coeffs": list(config.spec.coefficients),
+                "n": args.n,
+                "range": args.range,
+                "pruning": config.pruning,
+                "reflection_quotient": config.reflection_quotient,
+                "threads": args.threads,
+            },
+            "results": results,
+        }
+    )
+    return 0
+
+
+def _cmd_probe(args):
+    if args.n_from > args.n_to:
+        raise _UsageError("--n-from must not exceed --n-to")
+    spec = _parse_coeffs(args.coeffs)
+    rows = conjecture_probe(spec, range(args.n_from, args.n_to + 1), args.range)
+    if args.csv:
+        _emit_csv(
+            ("n", "minimum", "deficiency", "witness"),
+            [
+                (
+                    row.cardinality,
+                    row.minimum,
+                    row.deficiency,
+                    " ".join(str(x) for x in row.witness.elements),
+                )
+                for row in rows
+            ],
+        )
+        return 0
+    caveats = [
+        f"witness for n={row.cardinality} touches range_max={args.range}"
+        for row in rows
+        if row.witness.max == args.range
+    ]
+    _emit_json(
+        {
+            "command": "probe",
+            "params": {
+                "coeffs": list(spec.coefficients),
+                "n_from": args.n_from,
+                "n_to": args.n_to,
+                "range": args.range,
+            },
+            "results": {
+                "rows": [
+                    {
+                        "n": row.cardinality,
+                        "minimum": row.minimum,
+                        "deficiency": row.deficiency,
+                        "witness": list(row.witness.elements),
+                        "total_witnesses": row.total_witnesses,
+                    }
+                    for row in rows
+                ],
+                "caveats": caveats,
+            },
+        }
+    )
+    return 0
+
+
+def _cmd_ap(args):
+    formula = ap_exact_size(args.n, args.k)
+    recomputed = ap_recompute(args.n, args.k)
+    matches = formula == recomputed
+    _emit_json(
+        {
+            "command": "ap",
+            "params": {"n": args.n, "k": args.k},
+            "results": {
+                "value": formula,
+                "recomputed": recomputed,
+                "matches": matches,
+            },
+        }
+    )
+    return 0 if matches else 1
+
+
+def _build_parser():
+    parser = argparse.ArgumentParser(
+        prog="dilates",
+        description="Exact dilate-sum arithmetic, inequality checks, and extremal search.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+
+    p = sub.add_parser("sum", help="compute a dilate sum and print it")
+    p.add_argument("--set", required=True, help="comma-separated integers")
+    p.add_argument("--coeffs", required=True, help="comma-separated nonzero coefficients")
+    p.set_defaults(func=_cmd_sum)
+
+    p = sub.add_parser("check", help="run every inequality checker on a set")
+    p.add_argument("--set", required=True, help="comma-separated integers")
+    p.add_argument("--k", required=True, type=int, help="odd prime")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
+    fmt.add_argument("--csv", action="store_true", help="CSV output")
+    p.set_defaults(func=_cmd_check)
+
+    p = sub.add_parser("search", help="exact minimum of a dilate-sum size")
+    p.add_argument("--coeffs", required=True)
+    p.add_argument("--n", required=True, type=int, help="cardinality")
+    p.add_argument("--range", required=True, type=int, help="elements drawn from [0, range]")
+    p.add_argument("--no-prune", action="store_true")
+    p.add_argument("--no-reflect", action="store_true")
+    p.add_argument("--threads", type=int, default=1)
+    p.set_defaults(func=_cmd_search)
+
+    p = sub.add_parser("probe", help="minimum/deficiency table over cardinalities")
+    p.add_argument("--coeffs", required=True)
+    p.add_argument("--n-from", required=True, type=int)
+    p.add_argument("--n-to", required=True, type=int)
+    p.add_argument("--range", required=True, type=int)
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
+    fmt.add_argument("--csv", action="store_true", help="CSV output")
+    p.set_defaults(func=_cmd_probe)
+
+    p = sub.add_parser("ap", help="closed-form progression value, verified")
+    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--k", required=True, type=int)
+    p.set_defaults(func=_cmd_ap)
+
+    return parser
+
+
+def dispatch(argv) -> int:
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticRangeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except DilatesError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def main(argv=None) -> int:
+    return dispatch(sys.argv[1:] if argv is None else argv)

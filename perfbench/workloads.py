@@ -184,12 +184,14 @@ def records_json(reports):
 class Op:
     """One call into the library, with the checks on its output.
 
+    ``stratum`` names the slot or stratum the input was drawn from.
     ``call`` is timed. ``fingerprint`` turns the output into a value that
     later passes, traced or not, must reproduce exactly. ``verify``
     returns None for a correct output, else the reason it is wrong.
     """
 
     key: str
+    stratum: str
     call: Callable[[], object]
     fingerprint: Callable[[object], object]
     verify: Callable[[object], object]
@@ -203,8 +205,10 @@ def run_cli(cli, argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _selection(workload, seed, count):
+def _selection(workload, seed, count, member=None):
     """Member index per stratum and the order of operations for a seed."""
+    if member is not None:
+        return [member] * count, list(range(count))
     rng = random.Random(f"{workload}:{seed}")
     members = [rng.randrange(MEMBERS) for _ in range(count)]
     order = list(range(count))
@@ -365,16 +369,19 @@ def _sum_fingerprint(out):
     return len(out.elements), hash(out.elements)
 
 
-def build_ops(workload, seed, lib, cli, pins, naive_dilate_sum):
+def build_ops(workload, seed, lib, cli, pins, naive_dilate_sum, member=None):
     """The operation list of one pass for ``workload`` on ``seed``.
 
     ``lib`` and ``cli`` are the imported dilates package and its CLI
     module. Calls look functions up on them at call time, so rebinding a
-    function there (as the traced run does) reaches every call.
+    function there (as the traced run does) reaches every call. With
+    ``member``, every stratum uses that pool member, in stratum order,
+    whatever the seed.
     """
     if workload == "probe":
         return [
             Op(
+                "probe",
                 "probe",
                 lambda: run_cli(cli, PROBE_ARGV),
                 lambda out: out,
@@ -384,7 +391,7 @@ def build_ops(workload, seed, lib, cli, pins, naive_dilate_sum):
 
     ops = []
     if workload == "search-mixed":
-        members, order = _selection(workload, seed, len(SEARCH_SLOTS))
+        members, order = _selection(workload, seed, len(SEARCH_SLOTS), member)
         for slot in order:
             coeffs, n, range_max = search_member(slot, members[slot])
             argv = search_argv(coeffs, n, range_max)
@@ -392,6 +399,7 @@ def build_ops(workload, seed, lib, cli, pins, naive_dilate_sum):
             ops.append(
                 Op(
                     f"search:{slot}:{members[slot]}",
+                    f"search:{slot}",
                     lambda argv=argv: run_cli(cli, argv),
                     lambda out: out,
                     lambda out, c=coeffs, n=n, r=range_max, p=pin: _verify_search(
@@ -400,7 +408,7 @@ def build_ops(workload, seed, lib, cli, pins, naive_dilate_sum):
                 )
             )
     elif workload == "check":
-        members, order = _selection(workload, seed, len(CHECK_STRATA))
+        members, order = _selection(workload, seed, len(CHECK_STRATA), member)
         for stratum in order:
             member = members[stratum]
             elems, k = check_member(stratum, member)
@@ -409,13 +417,14 @@ def build_ops(workload, seed, lib, cli, pins, naive_dilate_sum):
             ops.append(
                 Op(
                     f"check:{stratum}:{member}",
+                    f"check:{stratum}",
                     lambda a=a, k=k: lib.check_suite(a, k),
                     records_json,
                     lambda out, p=pinned: _verify_check(out, p),
                 )
             )
     elif workload == "sum":
-        members, order = _selection(workload, seed, len(SUM_STRATA))
+        members, order = _selection(workload, seed, len(SUM_STRATA), member)
         for stratum in order:
             member = members[stratum]
             api, elems, coeffs = sum_member(stratum, member)
@@ -433,6 +442,7 @@ def build_ops(workload, seed, lib, cli, pins, naive_dilate_sum):
             ops.append(
                 Op(
                     f"sum:{stratum}:{member}",
+                    f"sum:{stratum}",
                     call,
                     _sum_fingerprint,
                     lambda out, api=api, e=elems, c=coeffs, p=pin: _verify_sum(
