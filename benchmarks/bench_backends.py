@@ -4,7 +4,9 @@
 Workloads:
   merge   pairwise sumset of two 400-element sets with values up to 10^9
   bitset  |2A + 3A| for 250 random elements drawn from [0, 10^6]
-  search  exact minimum of |2A + 3A| over canonical 5-sets in [0, 18]
+
+The search is not compared: it keeps its node values in Python ints and
+calls no kernel per node, so both backends run the same search code.
 
 Usage: python benchmarks/bench_backends.py [--quick]
 """
@@ -13,7 +15,7 @@ import argparse
 import random
 import time
 
-from dilates import DilateSpec, IntSet, SearchConfig, backend_name, min_dilate_sum, use_backend
+from dilates import backend_name, use_backend
 from dilates.backend import available_backends, fold_size, sumset
 
 
@@ -37,15 +39,6 @@ def workload_bitset(rng):
     return lambda: fold_size(terms)
 
 
-def workload_search(quick):
-    config = SearchConfig(
-        DilateSpec((2, 3)),
-        cardinality=4 if quick else 5,
-        range_max=14 if quick else 18,
-    )
-    return lambda: min_dilate_sum(config).minimum
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="smaller workloads")
@@ -59,7 +52,6 @@ def main():
     workloads = [
         ("merge", workload_merge(rng), 5 if args.quick else 20),
         ("bitset", workload_bitset(rng), 20 if args.quick else 100),
-        ("search", workload_search(args.quick), 1 if args.quick else 3),
     ]
 
     print(f"{'workload':<10} " + " ".join(f"{name:>14}" for name in backends)

@@ -23,7 +23,7 @@ Statement ids:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .backend import INT64_MAX, fold_size
 from .components import (
@@ -450,8 +450,8 @@ def check_suite(a: IntSet, k: int):
         strict, cor = bound_main_large(canon, k)
         note = {"canonicalized": normalized}
         return (
-            BoundReport(**{**strict.__dict__, "detail": {**strict.detail, **note}}),
-            BoundReport(**{**cor.__dict__, "detail": {**cor.detail, **note}}),
+            replace(strict, detail={**strict.detail, **note}),
+            replace(cor, detail={**cor.detail, **note}),
         )
 
     run("main_large_strict", large)
@@ -464,10 +464,7 @@ def check_suite(a: IntSet, k: int):
 
         def faithful(r=residue):
             rep = check_faithful(canon, k, r)
-            return BoundReport(
-                **{**rep.__dict__,
-                   "detail": {**rep.detail, "canonicalized": normalized}}
-            )
+            return replace(rep, detail={**rep.detail, "canonicalized": normalized})
 
         run("faithful_component", faithful)
 

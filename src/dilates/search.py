@@ -14,6 +14,27 @@ identical for every parallel width. Pruning cuts a partial set only when
 its value already reaches the incumbent; appending an element above the
 current maximum strictly grows the dilate sum, so completions of such a
 partial can never tie a future minimum and no witness is ever lost.
+
+Node values are maintained incrementally, without calling the kernels.
+For coefficients c_1..c_j and each subset U of their indices, a prefix P
+carries one Python int M_U(P) whose bit p marks the sum
+sum_{i in U} c_i*a_i, each a_i drawn from P, at position p = that sum
+plus sum_{i in U, c_i < 0} |c_i|*R. Appending x splits each sum by the
+set T of indices whose element is x:
+
+    M_U(P + x) = OR over T inside U of M_{U-T}(P) << shift_T(x),
+    shift_T(x) = sum_{i in T} (c_i*x if c_i > 0 else |c_i|*(R - x)),
+
+with M_empty = 1. Every element lies in [0, R], so each shift is a sum
+of non-negative terms: mixed signs need no re-basing, and no position
+exceeds weight*R, where weight is the sum of |c_i|. A node's value is
+the popcount of the full mask. A leaf needs only its full mask, and an
+internal node needs the other masks only when it survives its prune test.
+
+Because every mask is bounded by weight*R bits whatever the prefix, one
+check per configuration replaces a range guard at every node: a search
+with weight*R above backend.BITSET_SPAN_LIMIT, far below the signed
+64-bit range, is refused before any task runs.
 """
 
 from __future__ import annotations
@@ -134,7 +155,31 @@ def _residue_bound(elems, n_coeff, m_coeff, target_size):
     return s * target_size + r * target_size - r * s
 
 
-def _run_task(second, config, seed):
+def _mask_plan(coeffs, range_max):
+    """Offsets and recurrence terms for the per-subset masks.
+
+    Subsets of coefficient indices are bitmasks t, and shift_T(x) is
+    C_T*x + D_T, where C_T is the sum of c_i over T and D_T is R times the
+    sum of |c_i| over the negative c_i in T. ``offsets[t]`` is D_T;
+    ``terms[u]`` lists (u without t, C_T, D_T) for every nonempty t
+    inside u, the terms of the recurrence besides M_U itself. Shifts are
+    computed per node rather than tabulated per x, so memory does not grow
+    with R.
+    """
+    size = 1 << len(coeffs)
+    lines = []
+    for t in range(size):
+        members = [c for i, c in enumerate(coeffs) if t >> i & 1]
+        lines.append((sum(members), range_max * sum(-c for c in members if c < 0)))
+    offsets = [d for _, d in lines]
+    terms = [
+        tuple((u & ~t, *lines[t]) for t in range(1, size) if u & t == t)
+        for u in range(size)
+    ]
+    return offsets, terms
+
+
+def _run_task(second, config, seed, plan):
     coeffs = config.spec.coefficients
     n = config.cardinality
     r_max = config.range_max
@@ -149,40 +194,59 @@ def _run_task(second, config, seed):
     ):
         pair = coeffs
 
+    offsets, terms = plan
+    full = len(terms) - 1
+    full_terms = terms[full]
     best = seed
     witnesses = []
     visited = 0
     pruned = 0
 
-    def value(elems):
-        return backend.fold_size(tuple((c, elems) for c in coeffs))
-
-    def rec(prefix, g):
+    def expand(prefix, g, masks, nxts):
+        """Visit the children prefix + (x,) for x in nxts, in order."""
         nonlocal best, visited, pruned
-        if len(prefix) == n:
+        inner = len(prefix) < n - 1
+        top = r_max - (n - len(prefix) - 2)
+        m_full = masks[full]
+        for x in nxts:
+            m = m_full
+            for v, c, d in full_terms:
+                m |= masks[v] << (c * x + d)
+            if inner:
+                child = prefix + (x,)
+                if pruning:
+                    visited += 1
+                    if m.bit_count() >= best:
+                        pruned += 1
+                        continue
+                    if pair is not None and _residue_bound(child, pair[0], pair[1], n) > best:
+                        pruned += 1
+                        continue
+                # The child survived, so it needs the masks of every subset.
+                child_masks = [1]
+                for u in range(1, full):
+                    mu = masks[u]
+                    for v, c, d in terms[u]:
+                        mu |= masks[v] << (c * x + d)
+                    child_masks.append(mu)
+                child_masks.append(m)
+                expand(child, math.gcd(g, x), child_masks, range(x + 1, top + 1))
+                continue
             visited += 1
-            v = value(prefix)
-            if g == 1 and (not reflect or _reflection_kept(prefix)):
-                if v < best:
-                    best = v
-                    witnesses.clear()
-                    witnesses.append(prefix)
-                elif v == best:
-                    witnesses.append(prefix)
-            return
-        if pruning:
-            visited += 1
-            if value(prefix) >= best:
-                pruned += 1
-                return
-            if pair is not None and _residue_bound(prefix, pair[0], pair[1], n) > best:
-                pruned += 1
-                return
-        top = r_max - (n - len(prefix) - 1)
-        for nxt in range(prefix[-1] + 1, top + 1):
-            rec(prefix + (nxt,), math.gcd(g, nxt))
+            value = m.bit_count()
+            if value > best or math.gcd(g, x) != 1:
+                continue
+            leaf = prefix + (x,)
+            if reflect and not _reflection_kept(leaf):
+                continue
+            if value < best:
+                best = value
+                witnesses.clear()
+            witnesses.append(leaf)
 
-    rec((0, second), second)
+    # The masks of the prefix (0,): its one sum over U sits at D_U.
+    root = [1 << d for d in offsets]
+    expand((0,), 0, root, range(second, second + 1))
     return best, witnesses, visited, pruned
 
 
@@ -190,7 +254,8 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
     """Exact minimum of |dilate_sum(A, spec)| over the canonical family.
 
     Identical minimum and witness list with pruning on or off and for any
-    parallel width; see the module docstring for why.
+    parallel width; see the module docstring for why. Raises
+    SearchConfigError when weight*range_max exceeds the bitset span limit.
     """
     coeffs = config.spec.coefficients
     n = config.cardinality
@@ -205,16 +270,25 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
             nodes_pruned=0,
         )
 
+    width = config.spec.weight * config.range_max
+    if width > backend.BITSET_SPAN_LIMIT:
+        raise SearchConfigError(
+            f"search masks need up to weight*range = {width} bits, above the"
+            f" bitset span limit {backend.BITSET_SPAN_LIMIT}"
+        )
+
     # Progression upper bound; a member of every family, so pruning
     # against it can only discard values that exceed the true minimum.
     seed = backend.fold_size(tuple((c, tuple(range(n))) for c in coeffs))
+    plan = _mask_plan(coeffs, config.range_max)
     seconds = range(1, config.range_max - (n - 2) + 1)
 
-    if config.parallel_width == 1:
-        outcomes = [_run_task(s, config, seed) for s in seconds]
+    workers = min(config.parallel_width, len(seconds))
+    if workers == 1:
+        outcomes = [_run_task(s, config, seed, plan) for s in seconds]
     else:
-        with ThreadPoolExecutor(max_workers=config.parallel_width) as pool:
-            outcomes = list(pool.map(lambda s: _run_task(s, config, seed), seconds))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(lambda s: _run_task(s, config, seed, plan), seconds))
 
     finds = [(best, wits) for best, wits, _, _ in outcomes if wits]
     if not finds:

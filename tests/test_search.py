@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dilates import (
     DilateSpec,
@@ -13,6 +15,7 @@ from dilates import (
     enumerate_canonical,
     min_dilate_sum,
 )
+from dilates import backend, search
 
 from bruteforce import naive_canonical_family, naive_dilate_sum
 
@@ -124,6 +127,107 @@ class TestMinDilateSum:
         first = results[0]
         for other in results[1:]:
             assert other == first  # witnesses and counters included
+
+    # (minimum, total_witnesses, nodes_visited, nodes_pruned), pruned then
+    # unpruned, as measured before node values were carried incrementally.
+    @pytest.mark.parametrize(
+        "coeffs, n, r, pruned_counts, unpruned_counts",
+        [
+            ((2, 3), 6, 14, (22, 1, 2490, 228), (22, 1, 2002, 0)),
+            ((-3, 2), 5, 12, (18, 1, 714, 0), (18, 1, 495, 0)),
+            ((2, -3, 5), 5, 12, (39, 1, 341, 139), (39, 1, 495, 0)),
+            ((1, 2, 4), 6, 14, (36, 1, 511, 358), (36, 1, 2002, 0)),
+        ],
+    )
+    def test_pinned_counters(self, coeffs, n, r, pruned_counts, unpruned_counts):
+        for pruning, expected in ((True, pruned_counts), (False, unpruned_counts)):
+            result = min_dilate_sum(
+                SearchConfig(DilateSpec(coeffs), n, r, pruning=pruning)
+            )
+            assert (
+                result.minimum,
+                result.total_witnesses,
+                result.nodes_visited,
+                result.nodes_pruned,
+            ) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        coeffs=st.lists(
+            st.integers(-6, 6).filter(bool), min_size=2, max_size=3, unique=True
+        ),
+        n=st.integers(1, 5),
+        extra=st.integers(0, 9),
+        pruning=st.booleans(),
+        reflect=st.booleans(),
+        component_prune=st.booleans(),
+    )
+    # A mixed-sign case on which shifts that ignore a coefficient's sign
+    # give a wrong answer; small random cases often do not show it.
+    @example(
+        coeffs=[1, 5, -5], n=5, extra=1, pruning=False, reflect=False,
+        component_prune=False,
+    )
+    def test_differential_against_brute_force(
+        self, coeffs, n, extra, pruning, reflect, component_prune
+    ):
+        r = min(n - 1 + extra, 10)
+        expected_min, expected_wits = brute_minimum(coeffs, n, r, reflect=reflect)
+        result = min_dilate_sum(
+            SearchConfig(
+                DilateSpec(coeffs),
+                n,
+                r,
+                reflection_quotient=reflect,
+                pruning=pruning,
+                component_prune=component_prune,
+                witness_cap=len(expected_wits),
+            )
+        )
+        assert result.minimum == expected_min
+        assert [w.elements for w in result.witnesses] == expected_wits
+        assert result.total_witnesses == len(expected_wits)
+
+    def test_pool_capped_at_task_count(self, monkeypatch):
+        widths = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(search, "ThreadPoolExecutor", RecordingPool)
+        # n = 4 in [0, 6] has second elements 1..4, so four tasks.
+        capped = min_dilate_sum(SearchConfig(DilateSpec((2, 3)), 4, 6, parallel_width=64))
+        narrow = min_dilate_sum(SearchConfig(DilateSpec((2, 3)), 4, 6, parallel_width=3))
+        serial = min_dilate_sum(SearchConfig(DilateSpec((2, 3)), 4, 6))
+        assert widths == [4, 3]
+        assert capped == narrow == serial
+
+    def test_mask_width_refused_before_any_task(self, monkeypatch):
+        def no_task(*args):
+            raise AssertionError("a search task ran")
+
+        monkeypatch.setattr(search, "_run_task", no_task)
+        spec = DilateSpec((2, -3))  # weight 5
+        r = backend.BITSET_SPAN_LIMIT // 5 + 1
+        with pytest.raises(SearchConfigError):
+            min_dilate_sum(SearchConfig(spec, 3, r))
+
+    def test_mask_width_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(backend, "BITSET_SPAN_LIMIT", 5 * 12)
+        spec = DilateSpec((2, 3))
+        assert min_dilate_sum(SearchConfig(spec, 3, 12)).minimum == 8
+        with pytest.raises(SearchConfigError):
+            min_dilate_sum(SearchConfig(spec, 3, 13))
 
     def test_pruning_actually_prunes(self):
         # partial values only reach the incumbent once (n-1)^2 can exceed
