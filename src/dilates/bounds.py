@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .backend import INT64_MAX, fold_size
+from .backend import fold_size
 from .components import (
     component_count,
     decompose,

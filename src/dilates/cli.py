@@ -232,7 +232,10 @@ def _build_parser():
     p.add_argument("--range", required=True, type=int, help="elements drawn from [0, range]")
     p.add_argument("--no-prune", action="store_true")
     p.add_argument("--no-reflect", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted and echoed in params.threads; has no effect",
+    )
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("probe", help="minimum/deficiency table over cardinalities")

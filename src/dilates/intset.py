@@ -18,6 +18,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -27,12 +28,17 @@ from .errors import InvalidCoefficientError
 
 
 class IntSet:
-    """Finite nonempty set of integers, kept sorted and duplicate-free."""
+    """Finite nonempty set of integers, kept sorted and duplicate-free.
+
+    Elements are coerced with ``operator.index``: ints, int subclasses and
+    integer types such as numpy's are accepted, bools count as 0 and 1, and
+    floats or strings raise TypeError instead of being truncated.
+    """
 
     __slots__ = ("_elements",)
 
     def __init__(self, elements):
-        elems = sorted({int(x) for x in elements})
+        elems = sorted({operator.index(x) for x in elements})
         if not elems:
             raise ValueError("IntSet needs at least one element")
         check_int64(elems[0], "element")
@@ -109,12 +115,16 @@ class AffineMap:
 
 @dataclass(frozen=True)
 class DilateSpec:
-    """Distinct nonzero dilation coefficients, kept sorted ascending."""
+    """Distinct nonzero dilation coefficients, kept sorted ascending.
+
+    Coefficients are coerced with ``operator.index``, as IntSet elements
+    are: a bool counts as 0 or 1, and a float raises TypeError.
+    """
 
     coefficients: tuple
 
     def __post_init__(self):
-        coeffs = tuple(sorted(int(c) for c in self.coefficients))
+        coeffs = tuple(sorted(operator.index(c) for c in self.coefficients))
         if not coeffs:
             raise InvalidCoefficientError("need at least one dilation coefficient")
         for c in coeffs:

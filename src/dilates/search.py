@@ -7,10 +7,10 @@ reflection {max - x}. Dilate-sum sizes are invariant under all three
 quotients, so minima over the family are minima over every set whose
 canonical form fits in [0, R].
 
-Branch and bound runs one independent task per (0, second-element)
-prefix, each with its own incumbent seeded by the progression value.
-No state crosses tasks, so the full SearchResult, counters included, is
-identical for every parallel width. Pruning cuts a partial set only when
+Branch and bound runs one task per (0, second-element) prefix, in
+ascending order on the calling thread, each with its own incumbent seeded
+by the progression value. No state crosses tasks, so the counters do not
+depend on task order. Pruning cuts a partial set only when
 its value already reaches the incumbent; appending an element above the
 current maximum strictly grows the dilate sum, so completions of such a
 partial can never tie a future minimum and no witness is ever lost.
@@ -39,9 +39,9 @@ with weight*R above backend.BITSET_SPAN_LIMIT, far below the signed
 
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import backend
 from .errors import SearchConfigError
@@ -50,7 +50,12 @@ from .intset import DilateSpec, IntSet, _coerce_spec
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Parameters for one exhaustive minimization run."""
+    """Parameters for one exhaustive minimization run.
+
+    ``parallel_width`` is validated and kept for callers that pass it, but
+    the search always runs on the calling thread, so it changes neither
+    the result nor the speed.
+    """
 
     spec: DilateSpec
     cardinality: int
@@ -59,7 +64,6 @@ class SearchConfig:
     pruning: bool = True
     parallel_width: int = 1
     witness_cap: int = 64
-    component_prune: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "spec", _coerce_spec(self.spec))
@@ -130,29 +134,10 @@ def enumerate_canonical(cardinality: int, range_max: int, reflection_quotient: b
     if cardinality == 1:
         yield IntSet._wrap((0,))
         return
-
-    def rec(prefix, g):
-        if len(prefix) == cardinality:
-            if g == 1 and (not reflection_quotient or _reflection_kept(prefix)):
-                yield IntSet._wrap(prefix)
-            return
-        top = range_max - (cardinality - len(prefix) - 1)
-        for nxt in range(prefix[-1] + 1, top + 1):
-            yield from rec(prefix + (nxt,), math.gcd(g, nxt))
-
-    yield from rec((0,), 0)
-
-
-def _residue_bound(elems, n_coeff, m_coeff, target_size):
-    """Component-count lower bound on the final two-dilate value.
-
-    Component counts only grow under supersets and the bound is monotone
-    in them, so partial counts give a valid bound for any completion of
-    size target_size.
-    """
-    r = len({x % m_coeff for x in elems})
-    s = len({x % n_coeff for x in elems})
-    return s * target_size + r * target_size - r * s
+    for rest in itertools.combinations(range(1, range_max + 1), cardinality - 1):
+        elems = (0, *rest)
+        if math.gcd(*rest) == 1 and (not reflection_quotient or _reflection_kept(elems)):
+            yield IntSet._wrap(elems)
 
 
 def _mask_plan(coeffs, range_max):
@@ -180,20 +165,10 @@ def _mask_plan(coeffs, range_max):
 
 
 def _run_task(second, config, seed, plan):
-    coeffs = config.spec.coefficients
     n = config.cardinality
     r_max = config.range_max
     reflect = config.reflection_quotient
     pruning = config.pruning
-    pair = None
-    if (
-        config.component_prune
-        and len(coeffs) == 2
-        and coeffs[0] >= 2
-        and math.gcd(coeffs[0], coeffs[1]) == 1
-    ):
-        pair = coeffs
-
     offsets, terms = plan
     full = len(terms) - 1
     full_terms = terms[full]
@@ -213,13 +188,9 @@ def _run_task(second, config, seed, plan):
             for v, c, d in full_terms:
                 m |= masks[v] << (c * x + d)
             if inner:
-                child = prefix + (x,)
                 if pruning:
                     visited += 1
                     if m.bit_count() >= best:
-                        pruned += 1
-                        continue
-                    if pair is not None and _residue_bound(child, pair[0], pair[1], n) > best:
                         pruned += 1
                         continue
                 # The child survived, so it needs the masks of every subset.
@@ -230,7 +201,7 @@ def _run_task(second, config, seed, plan):
                         mu |= masks[v] << (c * x + d)
                     child_masks.append(mu)
                 child_masks.append(m)
-                expand(child, math.gcd(g, x), child_masks, range(x + 1, top + 1))
+                expand(prefix + (x,), math.gcd(g, x), child_masks, range(x + 1, top + 1))
                 continue
             visited += 1
             value = m.bit_count()
@@ -253,9 +224,9 @@ def _run_task(second, config, seed, plan):
 def min_dilate_sum(config: SearchConfig) -> SearchResult:
     """Exact minimum of |dilate_sum(A, spec)| over the canonical family.
 
-    Identical minimum and witness list with pruning on or off and for any
-    parallel width; see the module docstring for why. Raises
-    SearchConfigError when weight*range_max exceeds the bitset span limit.
+    Identical minimum and witness list with pruning on or off; see the
+    module docstring for why. Raises SearchConfigError when
+    weight*range_max exceeds the bitset span limit.
     """
     coeffs = config.spec.coefficients
     n = config.cardinality
@@ -282,13 +253,7 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
     seed = backend.fold_size(tuple((c, tuple(range(n))) for c in coeffs))
     plan = _mask_plan(coeffs, config.range_max)
     seconds = range(1, config.range_max - (n - 2) + 1)
-
-    workers = min(config.parallel_width, len(seconds))
-    if workers == 1:
-        outcomes = [_run_task(s, config, seed, plan) for s in seconds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda s: _run_task(s, config, seed, plan), seconds))
+    outcomes = [_run_task(s, config, seed, plan) for s in seconds]
 
     finds = [(best, wits) for best, wits, _, _ in outcomes if wits]
     if not finds:

@@ -24,6 +24,10 @@ small_sets = st.sets(st.integers(-60, 60), min_size=1, max_size=7).map(IntSet)
 nonzero = st.integers(-9, 9).filter(lambda c: c != 0)
 
 
+class Tagged(int):
+    """A plain int subclass, which coercion must still accept."""
+
+
 class TestIntSet:
     def test_sorts_and_dedupes(self):
         assert IntSet([3, 1, 3, 0]).elements == (0, 1, 3)
@@ -37,6 +41,19 @@ class TestIntSet:
             IntSet([1 << 63])
         with pytest.raises(ArithmeticRangeError):
             IntSet([INT64_MIN - 1])
+
+    def test_rejects_non_integers(self):
+        with pytest.raises(TypeError):
+            IntSet([1.5, 2.7])
+        with pytest.raises(TypeError):
+            IntSet([3.0])
+
+    def test_accepts_int_subclasses_and_bools(self):
+        a = IntSet([Tagged(5), Tagged(-2)])
+        assert a.elements == (-2, 5)
+        assert all(type(x) is int for x in a.elements)
+        # bools are ints to operator.index, so True and 1 coincide
+        assert IntSet([True, False, 1]).elements == (0, 1)
 
     def test_basics(self):
         a = IntSet([5, -2, 9])
@@ -125,6 +142,16 @@ class TestDilateSum:
             DilateSpec((2, 2))
         with pytest.raises(InvalidCoefficientError):
             DilateSpec(())
+
+    def test_spec_rejects_non_integers(self):
+        with pytest.raises(TypeError):
+            DilateSpec((2.9, 3))
+
+    def test_spec_accepts_int_subclasses_and_bools(self):
+        assert DilateSpec((Tagged(3), Tagged(-2))).coefficients == (-2, 3)
+        assert DilateSpec((True, 3)).coefficients == (1, 3)
+        with pytest.raises(InvalidCoefficientError):
+            DilateSpec((False, 3))
 
     def test_spec_normalizes(self):
         spec = DilateSpec([3, -1, 2])

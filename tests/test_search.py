@@ -1,4 +1,5 @@
 import math
+import threading
 
 import pytest
 from hypothesis import example, given, settings
@@ -105,18 +106,11 @@ class TestMinDilateSum:
 
     def test_pruning_modes_agree(self):
         for pruning in (False, True):
-            for component_prune in (False, True):
-                result = min_dilate_sum(
-                    SearchConfig(
-                        DilateSpec((2, 3)),
-                        4,
-                        11,
-                        pruning=pruning,
-                        component_prune=component_prune,
-                    )
-                )
-                assert result.minimum == 12
-                assert IntSet([0, 2, 3, 5]) in result.witnesses
+            result = min_dilate_sum(
+                SearchConfig(DilateSpec((2, 3)), 4, 11, pruning=pruning)
+            )
+            assert result.minimum == 12
+            assert IntSet([0, 2, 3, 5]) in result.witnesses
 
     def test_parallel_width_full_determinism(self):
         configs = [
@@ -160,17 +154,11 @@ class TestMinDilateSum:
         extra=st.integers(0, 9),
         pruning=st.booleans(),
         reflect=st.booleans(),
-        component_prune=st.booleans(),
     )
     # A mixed-sign case on which shifts that ignore a coefficient's sign
     # give a wrong answer; small random cases often do not show it.
-    @example(
-        coeffs=[1, 5, -5], n=5, extra=1, pruning=False, reflect=False,
-        component_prune=False,
-    )
-    def test_differential_against_brute_force(
-        self, coeffs, n, extra, pruning, reflect, component_prune
-    ):
+    @example(coeffs=[1, 5, -5], n=5, extra=1, pruning=False, reflect=False)
+    def test_differential_against_brute_force(self, coeffs, n, extra, pruning, reflect):
         r = min(n - 1 + extra, 10)
         expected_min, expected_wits = brute_minimum(coeffs, n, r, reflect=reflect)
         result = min_dilate_sum(
@@ -180,7 +168,6 @@ class TestMinDilateSum:
                 r,
                 reflection_quotient=reflect,
                 pruning=pruning,
-                component_prune=component_prune,
                 witness_cap=len(expected_wits),
             )
         )
@@ -188,29 +175,18 @@ class TestMinDilateSum:
         assert [w.elements for w in result.witnesses] == expected_wits
         assert result.total_witnesses == len(expected_wits)
 
-    def test_pool_capped_at_task_count(self, monkeypatch):
-        widths = []
+    def test_tasks_run_on_calling_thread(self, monkeypatch):
+        threads = []
+        run_task = search._run_task
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                widths.append(max_workers)
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return run_task(*args)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(search, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(search, "_run_task", recording)
         # n = 4 in [0, 6] has second elements 1..4, so four tasks.
-        capped = min_dilate_sum(SearchConfig(DilateSpec((2, 3)), 4, 6, parallel_width=64))
-        narrow = min_dilate_sum(SearchConfig(DilateSpec((2, 3)), 4, 6, parallel_width=3))
-        serial = min_dilate_sum(SearchConfig(DilateSpec((2, 3)), 4, 6))
-        assert widths == [4, 3]
-        assert capped == narrow == serial
+        min_dilate_sum(SearchConfig(DilateSpec((2, 3)), 4, 6, parallel_width=4))
+        assert threads == [threading.get_ident()] * 4
 
     def test_mask_width_refused_before_any_task(self, monkeypatch):
         def no_task(*args):
