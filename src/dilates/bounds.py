@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 
 from .backend import fold_size
 from .components import (
+    _require_odd_prime,
     component_count,
     decompose,
     is_full,
@@ -234,10 +235,7 @@ def bound_marginal_total(a: IntSet, k: int, relax_modulus: bool = False) -> Boun
     ``relax_modulus`` waives the odd-prime requirement for experiments;
     the default enforces it.
     """
-    if not relax_modulus and not is_odd_prime(k):
-        raise InvalidModulusError(f"k must be an odd prime, got {k!r}")
-    if relax_modulus and (not isinstance(k, int) or k < 2):
-        raise InvalidModulusError(f"modulus must be an integer >= 2, got {k!r}")
+    _require_odd_prime(k, relax=relax_modulus)
     d = decompose(a, k)
     total = sum(
         len(marginal_set(c, a, k, relax_modulus=relax_modulus)) for c in d
@@ -311,8 +309,7 @@ def check_faithful(a: IntSet, k: int, c_residue: int) -> BoundReport:
 
 
 def _constant_prime(k):
-    if not is_odd_prime(k):
-        raise InvalidModulusError(f"k must be an odd prime, got {k!r}")
+    _require_odd_prime(k)
     if k > MAX_CONSTANT_PRIME:
         raise ArithmeticRangeError(
             f"bound constants for k={k} exceed the signed 64-bit range "
@@ -366,8 +363,7 @@ def ap_exact_size(n: int, k: int, verify: bool = False) -> int:
     once n >= k (and trivially at n = 2); verification is what detects
     the shortfall below that.
     """
-    if not is_odd_prime(k):
-        raise InvalidModulusError(f"k must be an odd prime, got {k!r}")
+    _require_odd_prime(k)
     if n < 1:
         raise ValueError(f"cardinality must be >= 1, got {n}")
     formula = 1 if n == 1 else (k + 2) * n - 2 * k
@@ -423,8 +419,7 @@ def check_suite(a: IntSet, k: int):
     that. Per-checker errors become not-applicable entries rather than
     aborting the suite.
     """
-    if not is_odd_prime(k):
-        raise InvalidModulusError(f"k must be an odd prime, got {k!r}")
+    _require_odd_prime(k)
     canon, _ = canonicalize(a)
     normalized = canon != a
     reports = []

@@ -115,8 +115,9 @@ def _cmd_search(args):
         range_max=args.range,
         reflection_quotient=not args.no_reflect,
         pruning=not args.no_prune,
-        parallel_width=args.threads,
     )
+    if args.threads < 1:
+        raise _UsageError(f"--threads must be >= 1, got {args.threads}")
     result = min_dilate_sum(config)
     results = result.to_payload()
     results["caveats"] = _search_caveats(result, args.range)

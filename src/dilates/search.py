@@ -7,13 +7,18 @@ reflection {max - x}. Dilate-sum sizes are invariant under all three
 quotients, so minima over the family are minima over every set whose
 canonical form fits in [0, R].
 
-Branch and bound runs one task per (0, second-element) prefix, in
-ascending order on the calling thread, each with its own incumbent seeded
-by the progression value. No state crosses tasks, so the counters do not
-depend on task order. Pruning cuts a partial set only when
-its value already reaches the incumbent; appending an element above the
-current maximum strictly grows the dilate sum, so completions of such a
-partial can never tie a future minimum and no witness is ever lost.
+Branch and bound is one depth-first walk of the family in ascending
+lexicographic order, from the prefix (0,), with one running incumbent:
+the smallest value met so far, seeded by the progression {0, ..., n-1},
+which belongs to every family. The walk is exact. A prefix is cut only
+when its value already reaches the incumbent, and appending an element
+above the current maximum strictly grows the dilate sum, so every
+completion of a cut prefix is strictly above the incumbent, hence
+strictly above the final minimum, and can never tie it: no witness is
+lost. Leaves are reached in lexicographic order, so the witnesses come
+out sorted. The traversal counters are measured against the running
+incumbent, so they depend on the visit order; minima and witnesses do
+not.
 
 Node values are maintained incrementally, without calling the kernels.
 For coefficients c_1..c_j and each subset U of their indices, a prefix P
@@ -34,7 +39,7 @@ internal node needs the other masks only when it survives its prune test.
 Because every mask is bounded by weight*R bits whatever the prefix, one
 check per configuration replaces a range guard at every node: a search
 with weight*R above backend.BITSET_SPAN_LIMIT, far below the signed
-64-bit range, is refused before any task runs.
+64-bit range, is refused before the walk starts.
 """
 
 from __future__ import annotations
@@ -50,33 +55,18 @@ from .intset import DilateSpec, IntSet, _coerce_spec
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Parameters for one exhaustive minimization run.
-
-    ``parallel_width`` is validated and kept for callers that pass it, but
-    the search always runs on the calling thread, so it changes neither
-    the result nor the speed.
-    """
+    """Parameters for one exhaustive minimization run."""
 
     spec: DilateSpec
     cardinality: int
     range_max: int
     reflection_quotient: bool = True
     pruning: bool = True
-    parallel_width: int = 1
     witness_cap: int = 64
 
     def __post_init__(self):
         object.__setattr__(self, "spec", _coerce_spec(self.spec))
-        if self.cardinality < 1:
-            raise SearchConfigError(f"cardinality must be >= 1, got {self.cardinality}")
-        if self.range_max < self.cardinality - 1:
-            raise SearchConfigError(
-                f"range_max {self.range_max} cannot hold {self.cardinality} elements"
-            )
-        if self.parallel_width < 1:
-            raise SearchConfigError(
-                f"parallel_width must be >= 1, got {self.parallel_width}"
-            )
+        _check_family(self.cardinality, self.range_max)
         if self.witness_cap < 1:
             raise SearchConfigError(f"witness_cap must be >= 1, got {self.witness_cap}")
 
@@ -123,21 +113,29 @@ def _reflection_kept(elems):
     return elems <= tuple(mx - x for x in reversed(elems))
 
 
-def enumerate_canonical(cardinality: int, range_max: int, reflection_quotient: bool = True):
-    """Yield the canonical sets of the family in ascending lexicographic order."""
+def _check_family(cardinality, range_max):
     if cardinality < 1:
         raise SearchConfigError(f"cardinality must be >= 1, got {cardinality}")
     if range_max < cardinality - 1:
         raise SearchConfigError(
             f"range_max {range_max} cannot hold {cardinality} elements"
         )
+
+
+def enumerate_canonical(cardinality: int, range_max: int, reflection_quotient: bool = True):
+    """Iterator over the canonical sets of the family, in ascending lexicographic order.
+
+    The arguments are checked at the call, before any iteration.
+    """
+    _check_family(cardinality, range_max)
     if cardinality == 1:
-        yield IntSet._wrap((0,))
-        return
-    for rest in itertools.combinations(range(1, range_max + 1), cardinality - 1):
-        elems = (0, *rest)
-        if math.gcd(*rest) == 1 and (not reflection_quotient or _reflection_kept(elems)):
-            yield IntSet._wrap(elems)
+        return iter([IntSet._wrap((0,))])
+    return (
+        IntSet._wrap((0, *rest))
+        for rest in itertools.combinations(range(1, range_max + 1), cardinality - 1)
+        if math.gcd(*rest) == 1
+        and (not reflection_quotient or _reflection_kept((0, *rest)))
+    )
 
 
 def _mask_plan(coeffs, range_max):
@@ -164,7 +162,7 @@ def _mask_plan(coeffs, range_max):
     return offsets, terms
 
 
-def _run_task(second, config, seed, plan):
+def _walk(config, seed, plan):
     n = config.cardinality
     r_max = config.range_max
     reflect = config.reflection_quotient
@@ -217,7 +215,7 @@ def _run_task(second, config, seed, plan):
 
     # The masks of the prefix (0,): its one sum over U sits at D_U.
     root = [1 << d for d in offsets]
-    expand((0,), 0, root, range(second, second + 1))
+    expand((0,), 0, root, range(1, r_max - n + 3))
     return best, witnesses, visited, pruned
 
 
@@ -251,24 +249,17 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
     # Progression upper bound; a member of every family, so pruning
     # against it can only discard values that exceed the true minimum.
     seed = backend.fold_size(tuple((c, tuple(range(n))) for c in coeffs))
-    plan = _mask_plan(coeffs, config.range_max)
-    seconds = range(1, config.range_max - (n - 2) + 1)
-    outcomes = [_run_task(s, config, seed, plan) for s in seconds]
-
-    finds = [(best, wits) for best, wits, _, _ in outcomes if wits]
-    if not finds:
+    best, witnesses, visited, pruned = _walk(
+        config, seed, _mask_plan(coeffs, config.range_max)
+    )
+    if not witnesses:
         raise RuntimeError("canonical family unexpectedly empty")
-    minimum = min(best for best, _ in finds)
-    ordered = []
-    for best, wits in finds:
-        if best == minimum:
-            ordered.extend(wits)
     return SearchResult(
-        minimum=minimum,
-        witnesses=[IntSet._wrap(w) for w in ordered[: config.witness_cap]],
-        total_witnesses=len(ordered),
-        nodes_visited=sum(v for _, _, v, _ in outcomes),
-        nodes_pruned=sum(p for _, _, _, p in outcomes),
+        minimum=best,
+        witnesses=[IntSet._wrap(w) for w in witnesses[: config.witness_cap]],
+        total_witnesses=len(witnesses),
+        nodes_visited=visited,
+        nodes_pruned=pruned,
     )
 
 
@@ -299,10 +290,6 @@ def conjecture_probe(spec, cardinalities, range_max: int, **config_options):
         )
     rows = []
     for n in sorted(set(cardinalities)):
-        if n > range_max + 1:
-            raise SearchConfigError(
-                f"cardinality {n} cannot fit in [0, {range_max}]"
-            )
         result = min_dilate_sum(
             SearchConfig(spec=spec, cardinality=n, range_max=range_max, **config_options)
         )

@@ -206,6 +206,8 @@ class TestMainSmall:
             bound_main_small(IntSet([0, 1]), 17)
         with pytest.raises(InvalidModulusError):
             bound_main_small(IntSet([0, 1]), 9)
+        with pytest.raises(InvalidModulusError):
+            bound_main_small(IntSet([0, 1]), 3.0)
 
 
 class TestMainLarge:
@@ -263,6 +265,8 @@ class TestApExactSize:
     def test_validation(self):
         with pytest.raises(InvalidModulusError):
             ap_exact_size(5, 4)
+        with pytest.raises(InvalidModulusError):
+            ap_exact_size(4, 3.0)
         with pytest.raises(ValueError):
             ap_exact_size(0, 3)
 
@@ -306,6 +310,8 @@ class TestCheckSuite:
     def test_requires_odd_prime(self):
         with pytest.raises(InvalidModulusError):
             check_suite(IntSet([0, 1]), 6)
+        with pytest.raises(InvalidModulusError):
+            check_suite(IntSet([0, 1]), 3.0)
 
     def test_large_prime_becomes_not_applicable(self):
         # constants for k = 17 overflow; the suite degrades, not aborts

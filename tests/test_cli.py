@@ -157,6 +157,15 @@ class TestSearch:
         )
         assert code == 2
 
+    def test_threads_must_be_positive(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "search", "--coeffs", "2,3", "--n", "3", "--range", "12", "--threads", "0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--threads" in err
+
 
 class TestProbe:
     def test_json_rows(self, capsys):
