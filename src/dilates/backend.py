@@ -14,7 +14,7 @@ the environment variable ``DILATES_PURE=1`` to force the fallback.
 
 import os
 
-from .errors import ArithmeticRangeError
+from .errors import ArithmeticRangeError, MergeLimitError
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
@@ -22,6 +22,11 @@ INT64_MAX = (1 << 63) - 1
 # Bitset folding allocates two buffers of span/8 bytes; beyond this limit
 # the element merge is used instead. Purely a speed/memory trade-off.
 BITSET_SPAN_LIMIT = 1 << 26
+
+# Largest number of pairwise sums one merge may form. The pure kernel holds
+# them in a Python set (tens of bytes each) and the compiled one in an int64
+# buffer, so a larger merge is refused before anything is allocated.
+MERGE_PAIR_LIMIT = 1 << 24
 
 from . import _core_py as _pure
 
@@ -67,14 +72,24 @@ def check_int64(value, what="value"):
     return value
 
 
+def _check_pairs(na, nb):
+    if na * nb > MERGE_PAIR_LIMIT:
+        raise MergeLimitError(
+            f"merge of {na} x {nb} elements would form {na * nb} sums, "
+            f"above the limit of {MERGE_PAIR_LIMIT}"
+        )
+
+
 def sumset(a, b):
     """Pairwise-sum tuple of two sorted element tuples, with range checks.
 
     Pairwise sums are monotone in both arguments, so checking the two
-    extreme sums covers every intermediate one.
+    extreme sums covers every intermediate one. More than MERGE_PAIR_LIMIT
+    pairs raises MergeLimitError.
     """
     check_int64(a[0] + b[0], "sumset minimum")
     check_int64(a[-1] + b[-1], "sumset maximum")
+    _check_pairs(len(a), len(b))
     return tuple(_impl.sumset_elements(a, b))
 
 
@@ -106,7 +121,11 @@ def _fold_guard(terms):
 
 
 def fold_size(terms):
-    """Exact |c0*S0 + c1*S1 + ...| for (coefficient, sorted elements) terms."""
+    """Exact |c0*S0 + c1*S1 + ...| for (coefficient, sorted elements) terms.
+
+    Above BITSET_SPAN_LIMIT it counts fold_elements, so MergeLimitError
+    can be raised there.
+    """
     terms = tuple(terms)
     span = _fold_guard(terms)
     if span <= BITSET_SPAN_LIMIT:
@@ -117,10 +136,15 @@ def fold_size(terms):
 
 
 def fold_elements(terms):
-    """Exact sorted element tuple of c0*S0 + c1*S1 + ...."""
+    """Exact sorted element tuple of c0*S0 + c1*S1 + ....
+
+    A step that would form more than MERGE_PAIR_LIMIT pairs raises
+    MergeLimitError before it runs.
+    """
     terms = tuple(terms)
     _fold_guard(terms)
     acc = _dilated(*terms[0])
     for c, elems in terms[1:]:
+        _check_pairs(len(acc), len(elems))
         acc = _impl.sumset_elements(acc, _dilated(c, elems))
     return tuple(acc)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .backend import fold_size
+from .backend import _fold_guard, fold_size
 from .components import (
     _require_odd_prime,
     component_count,
@@ -172,6 +172,13 @@ def check_affine_invariance(a: IntSet, r: int, s: int, u: int, v: int) -> BoundR
 
 def bound_basic(a: IntSet, b: IntSet, n: int, m: int) -> BoundReport:
     """Component-count lower bound for |n*a + m*b| with coprime n, m."""
+    return _bound_basic(a, b, n, m, lambda: _pair_size(n, a, m, b))
+
+
+# Each _bound_* core takes ``size``, a zero-argument callable giving the
+# |n*a + m*b| its public checker would fold, called at the point where the
+# checker folds it, so check_suite can share one fold between checkers.
+def _bound_basic(a, b, n, m, size):
     hypotheses = {
         "n_ge_2": isinstance(n, int) and n >= 2,
         "m_ge_2": isinstance(m, int) and m >= 2,
@@ -179,7 +186,7 @@ def bound_basic(a: IntSet, b: IntSet, n: int, m: int) -> BoundReport:
     }
     if not all(hypotheses.values()):
         return _report("basic_bound", GE, None, None, hypotheses)
-    lhs = _pair_size(n, a, m, b)
+    lhs = size()
     rhs = (
         component_count(b, n) * len(a)
         + component_count(a, m) * len(b)
@@ -190,6 +197,10 @@ def bound_basic(a: IntSet, b: IntSet, n: int, m: int) -> BoundReport:
 
 def bound_four(a: IntSet, n: int, m: int) -> BoundReport:
     """|n*a + m*a| >= 4|a| - 4 for coprime integers 2 <= n < m."""
+    return _bound_four(a, n, m, lambda: _pair_size(n, a, m, a))
+
+
+def _bound_four(a, n, m, size):
     hypotheses = {
         "n_ge_2": isinstance(n, int) and n >= 2,
         "n_lt_m": isinstance(n, int) and isinstance(m, int) and n < m,
@@ -197,7 +208,7 @@ def bound_four(a: IntSet, n: int, m: int) -> BoundReport:
     }
     if not all(hypotheses.values()):
         return _report("four_bound", GE, None, None, hypotheses)
-    lhs = _pair_size(n, a, m, a)
+    lhs = size()
     return _report("four_bound", GE, lhs, 4 * len(a) - 4, hypotheses)
 
 
@@ -207,12 +218,16 @@ def bound_full_semifull(a: IntSet, m: int) -> BoundReport:
     The full case (m+2)|a| - 2m takes precedence; the semi-full case uses
     (m+2)|a| - 2m*c_m(a). Neither predicate holding means not-applicable.
     """
+    return _bound_full_semifull(a, m, lambda: _pair_size(2, a, m, a))
+
+
+def _bound_full_semifull(a, m, size):
     if not isinstance(m, int) or m < 3 or m % 2 == 0:
         raise InvalidModulusError(f"modulus must be an odd integer >= 3, got {m!r}")
     full = is_full(a, m)
     semi = is_semi_full(a, m)
     hypotheses = {"odd_modulus": True, "m_full": full, "m_semi_full": semi}
-    lhs = _pair_size(2, a, m, a)
+    lhs = size()
     if full:
         rhs = (m + 2) * len(a) - 2 * m
         case = "full"
@@ -319,8 +334,12 @@ def _constant_prime(k):
 
 def bound_main_small(a: IntSet, k: int) -> BoundReport:
     """|2*a + k*a| >= (k+2)|a| - 4k^(k-1) for any set, k an odd prime <= 13."""
+    return _bound_main_small(a, k, lambda: _pair_size(2, a, k, a))
+
+
+def _bound_main_small(a, k, size):
     _constant_prime(k)
-    lhs = _pair_size(2, a, k, a)
+    lhs = size()
     rhs = (k + 2) * len(a) - 4 * k ** (k - 1)
     return _report("main_small_bound", GE, lhs, rhs, {"odd_prime_k": True})
 
@@ -332,9 +351,13 @@ def bound_main_large(a: IntSet, k: int):
     gcd(a) = 1, |a| > 8k^k and some component meeting fewer than k classes
     modulo k**2; the general one needs |a| > 8k^k only.
     """
+    return _bound_main_large(a, k, lambda: _pair_size(2, a, k, a))
+
+
+def _bound_main_large(a, k, size):
     _constant_prime(k)
     threshold = 8 * k**k
-    lhs = _pair_size(2, a, k, a)
+    lhs = size()
     large = len(a) > threshold
     strict_hypotheses = {
         "zero_in_set": 0 in a,
@@ -377,6 +400,24 @@ def ap_exact_size(n: int, k: int, verify: bool = False) -> int:
     return formula
 
 
+def ap_size(n: int, k: int) -> int:
+    """Exact |2*P + k*P| for the length-n progression P = {0..n-1}.
+
+    Returns min(n**2, (k+2)n - 2k) for n >= 2 and 1 for a singleton. For
+    n <= k the n**2 sums 2i + kj are distinct (2(i - i') = k(j' - j)
+    makes the odd prime k divide i - i', and |i - i'| < k); for n >= k the
+    closed form is exact. The two agree at n = k, and
+    n**2 - ((k+2)n - 2k) = (n-2)(n-k) shows the minimum picks the right
+    one in both ranges.
+    """
+    _require_odd_prime(k)
+    if n < 1:
+        raise ValueError(f"cardinality must be >= 1, got {n}")
+    if n == 1:
+        return 1
+    return min(n * n, (k + 2) * n - 2 * k)
+
+
 def ap_recompute(n: int, k: int) -> int:
     """Exact |2*P + k*P| for P = {0..n-1}, by direct computation."""
     p = IntSet._wrap(tuple(range(n)))
@@ -411,6 +452,28 @@ def _na_report(statement_id, error):
     )
 
 
+def _once(compute):
+    """A callable returning compute()'s value, computed on the first call.
+
+    A DilatesError raised by that call is raised again by every later one,
+    so each caller sees what its own computation would have raised.
+    """
+    memo = []
+
+    def get():
+        if not memo:
+            try:
+                memo.append((compute(), None))
+            except DilatesError as err:
+                memo.append((None, err))
+        value, err = memo[0]
+        if err is not None:
+            raise err
+        return value
+
+    return get
+
+
 def check_suite(a: IntSet, k: int):
     """Run every applicable checker on (a, k); returns sorted reports.
 
@@ -418,6 +481,17 @@ def check_suite(a: IntSet, k: int):
     canonical representative (size-invariant), and their reports record
     that. Per-checker errors become not-applicable entries rather than
     aborting the suite.
+
+    |2A+kA| is folded at most once and shared. The basic, four,
+    full/semi-full and main-small checkers all fold exactly it; if the
+    fold raises, each of them raises the same error where it would have
+    folded, so its not-applicable record is unchanged. The large-set
+    checker runs on the canonical set, and x -> (x - min A)/g maps 2A+kA
+    bijectively onto 2*canon + k*canon, so the sizes agree. It reuses the
+    shared size only when the fold on A returned and the canonical set
+    passes the fold's int64 envelope check itself (its envelope exceeds
+    A's when A has negative elements); when the fold on A raised, it folds
+    the canonical set, whose smaller envelope may fit.
     """
     _require_odd_prime(k)
     canon, _ = canonicalize(a)
@@ -435,14 +509,23 @@ def check_suite(a: IntSet, k: int):
         else:
             reports.append(out)
 
-    run("basic_bound", lambda: bound_basic(a, a, 2, k))
-    run("four_bound", lambda: bound_four(a, 2, k))
-    run("full_semifull_bound", lambda: bound_full_semifull(a, k))
+    size = _once(lambda: _pair_size(2, a, k, a))
+    run("basic_bound", lambda: _bound_basic(a, a, 2, k, size))
+    run("four_bound", lambda: _bound_four(a, 2, k, size))
+    run("full_semifull_bound", lambda: _bound_full_semifull(a, k, size))
     run("marginal_total_bound", lambda: bound_marginal_total(a, k))
-    run("main_small_bound", lambda: bound_main_small(a, k))
+    run("main_small_bound", lambda: _bound_main_small(a, k, size))
+
+    def canon_size():
+        try:
+            value = size()
+        except DilatesError:
+            return _pair_size(2, canon, k, canon)
+        _fold_guard(((2, canon.elements), (k, canon.elements)))
+        return value
 
     def large():
-        strict, cor = bound_main_large(canon, k)
+        strict, cor = _bound_main_large(canon, k, canon_size)
         note = {"canonicalized": normalized}
         return (
             replace(strict, detail={**strict.detail, **note}),

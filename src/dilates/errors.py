@@ -9,6 +9,10 @@ class ArithmeticRangeError(DilatesError):
     """A value or intermediate result left the signed 64-bit range."""
 
 
+class MergeLimitError(DilatesError):
+    """A pairwise merge would form more sums than backend.MERGE_PAIR_LIMIT."""
+
+
 class InvalidCoefficientError(DilatesError):
     """A dilation coefficient is zero, repeated, or otherwise unusable."""
 

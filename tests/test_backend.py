@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from dilates import backend
 from dilates.backend import fold_elements, fold_size, sumset, use_backend
-from dilates.errors import ArithmeticRangeError
+from dilates.errors import ArithmeticRangeError, MergeLimitError
+from dilates.intset import IntSet, dilate_sum, minkowski_sum
 
 from bruteforce import naive_fold, naive_sumset
 
@@ -122,3 +123,35 @@ def test_fold_guard_rejects_overflow(name):
 def test_fold_requires_terms():
     with pytest.raises(ValueError):
         fold_size(())
+
+
+class _NoKernels:
+    def __getattr__(self, name):
+        raise AssertionError(f"kernel {name} reached")
+
+
+def test_merge_pair_limit_refuses_before_merging(monkeypatch):
+    # Two wide 10^5-element sets: 10^10 pairs, refused by arithmetic on
+    # the sizes alone.
+    a = IntSet(range(0, 10**5 * 10**6, 10**6))
+    b = IntSet(range(1, 10**5 * 10**6, 10**6))
+    assert len(a) * len(b) > backend.MERGE_PAIR_LIMIT
+    monkeypatch.setattr(backend, "_impl", _NoKernels())
+    with pytest.raises(MergeLimitError):
+        minkowski_sum(a, b)
+    with pytest.raises(MergeLimitError):
+        dilate_sum(a, (1, 3))
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_merge_pair_limit_is_inclusive(monkeypatch, name):
+    monkeypatch.setattr(backend, "MERGE_PAIR_LIMIT", 12)
+    with switched(name):
+        assert sumset((0, 1, 2), (0, 5, 10, 15)) == tuple(naive_sumset((0, 1, 2), (0, 5, 10, 15)))
+        with pytest.raises(MergeLimitError):
+            sumset((0, 1, 2), (0, 5, 10, 15, 20))
+        # fold steps: 3 x 4 = 12 pairs, then 12 x 2 = 24 refused
+        terms = ((1, (0, 1, 2)), (5, (0, 1, 2, 3)))
+        assert fold_elements(terms) == tuple(naive_fold(terms))
+        with pytest.raises(MergeLimitError):
+            fold_elements(((1, (0, 1, 2)), (5, (0, 1, 2, 3)), (100, (0, 1))))

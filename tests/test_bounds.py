@@ -1,5 +1,6 @@
 import pytest
 
+import dilates.bounds
 from dilates import (
     ArithmeticRangeError,
     BoundReport,
@@ -9,6 +10,7 @@ from dilates import (
     VerificationError,
     ap_exact_size,
     ap_recompute,
+    ap_size,
     bound_basic,
     bound_four,
     bound_full_semifull,
@@ -271,6 +273,21 @@ class TestApExactSize:
             ap_exact_size(0, 3)
 
 
+class TestApSize:
+    def test_matches_recompute(self):
+        for k in (3, 5, 7, 11, 13):
+            for n in range(1, 41):
+                assert ap_size(n, k) == ap_recompute(n, k), (n, k)
+
+    def test_validation(self):
+        with pytest.raises(InvalidModulusError):
+            ap_size(5, 9)
+        with pytest.raises(InvalidModulusError):
+            ap_size(4, 3.0)
+        with pytest.raises(ValueError):
+            ap_size(0, 3)
+
+
 class TestDeficiency:
     def test_examples(self):
         assert deficiency(IntSet([0, 1]), (2, 3)) == 6
@@ -312,6 +329,67 @@ class TestCheckSuite:
             check_suite(IntSet([0, 1]), 6)
         with pytest.raises(InvalidModulusError):
             check_suite(IntSet([0, 1]), 3.0)
+
+    @pytest.mark.parametrize(
+        "elems", [[0, 1, 3, 4, 9], [10, 16, 22, 25], [-7, -2, 4, 5, 6, 11]]
+    )
+    def test_folds_dilate_sum_once(self, monkeypatch, elems):
+        calls = []
+        real = dilates.bounds.fold_size
+        monkeypatch.setattr(
+            dilates.bounds, "fold_size", lambda terms: calls.append(terms) or real(terms)
+        )
+        check_suite(IntSet(elems), 5)
+        assert len(calls) == 1
+
+    # Records as the suite gave them when every checker folded on its own:
+    # (statement_id, verdict, lhs, rhs, error).
+    @pytest.mark.parametrize(
+        "elems, expected",
+        [
+            # The fold on A leaves int64; the canonical set {0..10} fits.
+            (
+                range((2**63 - 1) // 5 - 5, (2**63 - 1) // 5 + 6),
+                [
+                    ("basic_bound", "not-applicable", None, None,
+                     "dilate-sum envelope 9223372036854775830 exceeds the signed 64-bit range"),
+                    ("four_bound", "not-applicable", None, None,
+                     "dilate-sum envelope 9223372036854775830 exceeds the signed 64-bit range"),
+                    ("full_semifull_bound", "not-applicable", None, None,
+                     "dilate-sum envelope 9223372036854775830 exceeds the signed 64-bit range"),
+                    ("main_large_bound", "not-applicable", 49, 45, None),
+                    ("main_large_strict", "not-applicable", 49, 55, None),
+                    ("main_small_bound", "not-applicable", None, None,
+                     "dilate-sum envelope 9223372036854775830 exceeds the signed 64-bit range"),
+                    ("marginal_total_bound", "not-applicable", None, None,
+                     "sumset maximum 9223372036854775830 is outside the signed 64-bit range"),
+                ],
+            ),
+            # The fold on A fits, but the canonical set {0, 2^60 + 1, 2^61}
+            # has the larger envelope and leaves int64.
+            (
+                [-(2**60), 1, 2**60],
+                [
+                    ("basic_bound", "holds", 9, 8, None),
+                    ("faithful_component", "not-applicable", None, None,
+                     "sumset maximum 11529215046068469760 is outside the signed 64-bit range"),
+                    ("faithful_component", "holds", 2, 2, None),
+                    ("four_bound", "holds", 9, 8, None),
+                    ("full_semifull_bound", "not-applicable", 9, None, None),
+                    ("main_large_strict", "not-applicable", None, None,
+                     "dilate-sum envelope 11529215046068469760 exceeds the signed 64-bit range"),
+                    ("main_small_bound", "holds", 9, -21, None),
+                    ("marginal_total_bound", "holds", 4, 2, None),
+                ],
+            ),
+        ],
+    )
+    def test_int64_records_pinned(self, elems, expected):
+        got = [
+            (r.statement_id, r.verdict, r.lhs, r.rhs, r.detail.get("error"))
+            for r in check_suite(IntSet(elems), 3)
+        ]
+        assert got == expected
 
     def test_large_prime_becomes_not_applicable(self):
         # constants for k = 17 overflow; the suite degrades, not aborts
