@@ -1,11 +1,14 @@
-"""Pure-Python kernels, used when the compiled extension is unavailable.
+"""Kernels: the pairwise merge and the bitmask fold with its readout.
 
-Same call signatures as the Cython module ``_core``; dispatch and all
-64-bit precondition checks live in ``backend``. Plain Python ints make
-every result exact regardless of operand size.
+A bitmask is a Python int read against a base: bit p marks the value
+base + p. This module is the only one that builds or reads such masks;
+dispatch and all 64-bit precondition checks live in ``backend``. Plain
+Python ints make every result exact regardless of operand size.
 """
 
-COMPILED = False
+from itertools import compress
+
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def sumset_elements(a, b):
@@ -13,19 +16,35 @@ def sumset_elements(a, b):
     return sorted({x + y for x in a for y in b})
 
 
-def bitset_fold_size(coeffs, sets):
-    """Size of c0*S0 + c1*S1 + ... computed by shift-or folding.
+def fold_mask(coeffs, sets):
+    """(base, mask) of c0*S0 + c1*S1 + ... for nonempty sorted sets.
 
-    Bit p of the running mask marks the value base + p, where base is the
-    smallest reachable partial sum, so shifts are never negative.
+    base is the smallest sum. Each term ORs one copy of the running mask
+    per element, shifted by the element's distance c*(x - lo) from the
+    term's smallest dilate c*lo, which is never negative.
     """
+    base = 0
     mask = 1
     for c, elems in zip(coeffs, sets):
-        mn = elems[0]
-        mx = elems[-1]
+        lo = elems[0] if c > 0 else elems[-1]
+        base += c * lo
         nxt = 0
-        for a in elems:
-            s = c * (a - mn) if c > 0 else (-c) * (mx - a)
-            nxt |= mask << s
+        for x in elems:
+            nxt |= mask << c * (x - lo)
         mask = nxt
-    return mask.bit_count()
+    return base, mask
+
+
+def bitset_fold_size(coeffs, sets):
+    """Size of c0*S0 + c1*S1 + ..., the popcount of fold_mask."""
+    return fold_mask(coeffs, sets)[1].bit_count()
+
+
+def mask_elements(base, mask, step=1):
+    """Sorted tuple of base + step*p over the set bits p of mask.
+
+    The bits are read out through their binary digits, with no Python
+    loop over them.
+    """
+    bits = format(mask, "b").encode().translate(_BITS)[::-1]
+    return tuple(compress(range(base, base + step * len(bits), step), bits))

@@ -534,10 +534,9 @@ def check_suite(a: IntSet, k: int):
 
     run("main_large_strict", large)
 
-    for residue, block in decompose(canon, k).blocks.items():
-        if component_count(block, k * k) >= k:
-            continue
-        if component_count(canon, k) < 2:
+    blocks = decompose(canon, k).blocks
+    for residue, block in blocks.items():
+        if len(blocks) < 2 or component_count(block, k * k) >= k:
             continue
 
         def faithful(r=residue):

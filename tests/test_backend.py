@@ -1,49 +1,24 @@
-import importlib.util
-import os
-from contextlib import contextmanager
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dilates import backend
+from dilates import _core_py, backend
 from dilates.backend import fold_elements, fold_size, sumset, use_backend
 from dilates.errors import ArithmeticRangeError, MergeLimitError
 from dilates.intset import IntSet, dilate_sum, minkowski_sum
 
 from bruteforce import naive_fold, naive_sumset
 
-BACKENDS = backend.available_backends()
-
-
-@contextmanager
-def switched(name):
-    prior = use_backend(name)
-    try:
-        yield
-    finally:
-        use_backend(prior)
-
-
-def test_compiled_kernels_present():
-    if os.environ.get("DILATES_PURE"):
-        pytest.skip("pure backend forced via environment")
-    # Skip only when no extension file is on the package path; one that is
-    # present but fails to import still fails the assertions below.
-    if importlib.util.find_spec("dilates._core") is None:
-        pytest.skip("dilates._core is not built (python setup.py build_ext --inplace)")
-    assert "compiled" in BACKENDS
-    assert backend.backend_name() == "compiled"
-
 
 def test_use_backend_round_trip():
-    prior = backend.backend_name()
-    other = "pure" if prior == "compiled" else prior
-    assert use_backend(other) == prior
-    assert backend.backend_name() == other
-    use_backend(prior)
+    assert backend.backend_name() == "pure"
+    assert backend.available_backends() == ("pure",)
+    assert use_backend("pure") == "pure"
+    with pytest.raises(RuntimeError):
+        use_backend("compiled")
     with pytest.raises(ValueError):
         use_backend("gpu")
+    assert backend.backend_name() == "pure"
 
 
 elem_sets = st.sets(st.integers(-50, 50), min_size=1, max_size=8).map(
@@ -54,70 +29,56 @@ coeff_lists = st.lists(
 )
 
 
-@pytest.mark.parametrize("name", BACKENDS)
 @given(elem_sets, elem_sets)
 @settings(max_examples=100)
-def test_sumset_matches_oracle(name, a, b):
-    with switched(name):
-        assert list(sumset(a, b)) == naive_sumset(a, b)
+def test_sumset_matches_oracle(a, b):
+    assert list(sumset(a, b)) == naive_sumset(a, b)
 
 
-@pytest.mark.parametrize("name", BACKENDS)
 @given(elem_sets, coeff_lists)
 @settings(max_examples=100)
-def test_fold_matches_oracle(name, elems, coeffs):
+def test_fold_matches_oracle(elems, coeffs):
     terms = tuple((c, elems) for c in coeffs)
     expected = naive_fold(terms)
-    with switched(name):
-        assert list(fold_elements(terms)) == expected
-        assert fold_size(terms) == len(expected)
+    assert list(fold_elements(terms)) == expected
+    assert fold_size(terms) == len(expected)
 
 
-@pytest.mark.parametrize("name", BACKENDS)
 @given(elem_sets, elem_sets)
 @settings(max_examples=50)
-def test_mixed_term_fold(name, a, b):
+def test_mixed_term_fold(a, b):
     terms = ((2, a), (3, b))
-    with switched(name):
-        assert fold_size(terms) == len(naive_fold(terms))
+    assert fold_size(terms) == len(naive_fold(terms))
 
 
-@pytest.mark.parametrize("name", BACKENDS)
-def test_bitset_and_merge_routes_agree(name):
+def test_bitset_and_merge_routes_agree():
     # Force the merge route by shrinking the span limit.
     elems = tuple(range(0, 4000, 7)) + (4001, 4003)
     terms = ((2, elems), (5, elems))
-    with switched(name):
-        via_bitset = fold_size(terms)
-        saved = backend.BITSET_SPAN_LIMIT
-        backend.BITSET_SPAN_LIMIT = 0
-        try:
-            via_merge = fold_size(terms)
-        finally:
-            backend.BITSET_SPAN_LIMIT = saved
-        assert via_bitset == via_merge == len(fold_elements(terms))
+    via_bitset = fold_size(terms)
+    saved = backend.BITSET_SPAN_LIMIT
+    backend.BITSET_SPAN_LIMIT = 0
+    try:
+        via_merge = fold_size(terms)
+    finally:
+        backend.BITSET_SPAN_LIMIT = saved
+    assert via_bitset == via_merge == len(fold_elements(terms))
 
 
 def test_backends_agree_on_wide_values():
     big = tuple(sorted({3, 10**12, 10**12 + 7, 5 * 10**14}))
     terms = ((2, big), (-3, big))
-    results = set()
-    for name in BACKENDS:
-        with switched(name):
-            results.add((fold_size(terms), fold_elements(terms)))
-    assert len(results) == 1
-    size, elems = results.pop()
-    assert size == len(elems) == len(naive_fold(terms))
+    elems = fold_elements(terms)
+    assert fold_size(terms) == len(elems) == len(naive_fold(terms))
+    assert list(elems) == naive_fold(terms)
 
 
-@pytest.mark.parametrize("name", BACKENDS)
-def test_fold_guard_rejects_overflow(name):
+def test_fold_guard_rejects_overflow():
     terms = ((2, (backend.INT64_MAX,)),)
-    with switched(name):
-        with pytest.raises(ArithmeticRangeError):
-            fold_size(terms)
-        with pytest.raises(ArithmeticRangeError):
-            fold_elements(terms)
+    with pytest.raises(ArithmeticRangeError):
+        fold_size(terms)
+    with pytest.raises(ArithmeticRangeError):
+        fold_elements(terms)
 
 
 def test_fold_requires_terms():
@@ -143,15 +104,70 @@ def test_merge_pair_limit_refuses_before_merging(monkeypatch):
         dilate_sum(a, (1, 3))
 
 
-@pytest.mark.parametrize("name", BACKENDS)
-def test_merge_pair_limit_is_inclusive(monkeypatch, name):
+def test_merge_pair_limit_is_inclusive(monkeypatch):
     monkeypatch.setattr(backend, "MERGE_PAIR_LIMIT", 12)
-    with switched(name):
-        assert sumset((0, 1, 2), (0, 5, 10, 15)) == tuple(naive_sumset((0, 1, 2), (0, 5, 10, 15)))
-        with pytest.raises(MergeLimitError):
-            sumset((0, 1, 2), (0, 5, 10, 15, 20))
-        # fold steps: 3 x 4 = 12 pairs, then 12 x 2 = 24 refused
-        terms = ((1, (0, 1, 2)), (5, (0, 1, 2, 3)))
-        assert fold_elements(terms) == tuple(naive_fold(terms))
-        with pytest.raises(MergeLimitError):
-            fold_elements(((1, (0, 1, 2)), (5, (0, 1, 2, 3)), (100, (0, 1))))
+    # These folds are dense enough for the bitmask route; force the merge.
+    monkeypatch.setattr(backend, "BITSET_SPAN_LIMIT", 0)
+    assert sumset((0, 1, 2), (0, 5, 10, 15)) == tuple(naive_sumset((0, 1, 2), (0, 5, 10, 15)))
+    with pytest.raises(MergeLimitError):
+        sumset((0, 1, 2), (0, 5, 10, 15, 20))
+    # fold steps: 3 x 4 = 12 pairs, then 12 x 2 = 24 refused
+    terms = ((1, (0, 1, 2)), (5, (0, 1, 2, 3)))
+    assert fold_elements(terms) == tuple(naive_fold(terms))
+    with pytest.raises(MergeLimitError):
+        fold_elements(((1, (0, 1, 2)), (5, (0, 1, 2, 3)), (100, (0, 1))))
+
+
+class _KernelLog:
+    """Forwards to the kernels and records the name of each one called."""
+
+    def __init__(self):
+        self.names = []
+
+    def __getattr__(self, name):
+        kernel = getattr(_core_py, name)
+
+        def call(*args):
+            self.names.append(name)
+            return kernel(*args)
+
+        return call
+
+
+def test_dense_dilate_sum_takes_mask_route(monkeypatch):
+    # 25M pairs, above MERGE_PAIR_LIMIT; the bitmask spans 24,996 bits.
+    log = _KernelLog()
+    monkeypatch.setattr(backend, "_impl", log)
+    out = dilate_sum(IntSet(range(5000)), (2, 3))
+    assert len(out) == 24_994
+    assert out.elements == tuple(x for x in range(24_996) if x not in (1, 24_994))
+    assert "sumset_elements" not in log.names
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_fold_route_threshold(monkeypatch, delta):
+    # 4 x 2 = 8 sums, so the threshold is a span of FOLD_BITS_PER_SUM * 8.
+    threshold = backend.FOLD_BITS_PER_SUM * 8
+    terms = ((1, (0, 1, 2, 3)), (-1, (0, threshold - 3 + delta)))
+    assert backend._fold_guard(terms) == threshold + delta
+    log = _KernelLog()
+    monkeypatch.setattr(backend, "_impl", log)
+    assert list(fold_elements(terms)) == naive_fold(terms)
+    assert log.names == (["sumset_elements"] if delta > 0 else ["fold_mask", "mask_elements"])
+
+
+wide_sets = st.sets(st.integers(-300, 300), min_size=1, max_size=6).map(
+    lambda s: tuple(sorted(s))
+)
+
+
+@given(st.lists(st.tuples(st.integers(-9, 9).filter(bool), wide_sets), min_size=1, max_size=3))
+@settings(max_examples=150)
+def test_fold_routes_match_oracle(terms):
+    expected = naive_fold(terms)
+    assert list(fold_elements(terms)) == expected
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backend, "FOLD_BITS_PER_SUM", backend.BITSET_SPAN_LIMIT)
+        assert list(fold_elements(terms)) == expected
+        mp.setattr(backend, "BITSET_SPAN_LIMIT", 0)
+        assert list(fold_elements(terms)) == expected
