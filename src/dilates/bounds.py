@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+from . import backend
 from .backend import _fold_guard, fold_size
 from .components import (
     _require_odd_prime,
@@ -166,7 +167,6 @@ def check_affine_invariance(a: IntSet, r: int, s: int, u: int, v: int) -> BoundR
             "u": u,
             "v": v,
         },
-        met=True,
     )
 
 
@@ -235,9 +235,7 @@ def _bound_full_semifull(a, m, size):
         rhs = (m + 2) * len(a) - 2 * m * component_count(a, m)
         case = "semi_full"
     else:
-        return _report(
-            "full_semifull_bound", GE, lhs, None, hypotheses, met=False
-        )
+        return _report("full_semifull_bound", GE, lhs, None, hypotheses)
     return _report(
         "full_semifull_bound", GE, lhs, rhs, hypotheses,
         detail={"case": case}, met=True,
@@ -247,8 +245,9 @@ def _bound_full_semifull(a, m, size):
 def bound_marginal_total(a: IntSet, k: int, relax_modulus: bool = False) -> BoundReport:
     """Total marginal mass over the modulus-k components versus (c-1)c.
 
-    ``relax_modulus`` waives the odd-prime requirement for experiments;
-    the default enforces it.
+    ``relax_modulus`` lets any modulus k >= 2 through for experiments;
+    the mass is still computed, but unless k is an odd prime the verdict
+    is not-applicable. The default raises for such a k.
     """
     _require_odd_prime(k, relax=relax_modulus)
     d = decompose(a, k)
@@ -260,7 +259,6 @@ def bound_marginal_total(a: IntSet, k: int, relax_modulus: bool = False) -> Boun
     return _report(
         "marginal_total_bound", GE, total, (c - 1) * c, hypotheses,
         detail={"component_count": c, "relaxed": relax_modulus},
-        met=True,
     )
 
 
@@ -272,31 +270,31 @@ def check_faithful(a: IntSet, k: int, c_residue: int) -> BoundReport:
     other component exists. When eligible, |M_C| must cover every other
     component's size; when additionally some other component is at least
     as large as C, or C misses a parity class, |M_C| must cover |C| too.
+
+    The component hypotheses stay False unless the first three hold, so a
+    bad k never reaches decompose.
     """
-    hypotheses = {
+    gates = {
         "odd_prime_k": is_odd_prime(k),
         "zero_in_set": 0 in a,
         "gcd_one": math.gcd(*a.elements) == 1,
     }
-    if not all(hypotheses.values()):
-        hypotheses.update(
-            {"component_exists": False, "component_not_semi_full": False,
-             "other_component_exists": False}
-        )
-        return _report("faithful_component", GE, None, None, hypotheses,
-                       detail={"residue": c_residue})
-    d = decompose(a, k)
-    block = d.blocks.get(c_residue)
-    hypotheses["component_exists"] = block is not None
-    if block is None:
-        hypotheses.update(
-            {"component_not_semi_full": False, "other_component_exists": False}
-        )
-        return _report("faithful_component", GE, None, None, hypotheses,
-                       detail={"residue": c_residue})
-    others = [b for r, b in d.blocks.items() if r != c_residue]
-    hypotheses["component_not_semi_full"] = component_count(block, k * k) < k
-    hypotheses["other_component_exists"] = bool(others)
+    hypotheses = {
+        **gates,
+        "component_exists": False,
+        "component_not_semi_full": False,
+        "other_component_exists": False,
+    }
+    if all(gates.values()):
+        d = decompose(a, k)
+        block = d.blocks.get(c_residue)
+        others = [b for r, b in d.blocks.items() if r != c_residue]
+        if block is not None:
+            hypotheses.update(
+                component_exists=True,
+                component_not_semi_full=component_count(block, k * k) < k,
+                other_component_exists=bool(others),
+            )
     if not all(hypotheses.values()):
         return _report("faithful_component", GE, None, None, hypotheses,
                        detail={"residue": c_residue})
@@ -319,7 +317,6 @@ def check_faithful(a: IntSet, k: int, c_residue: int) -> BoundReport:
             "missing_parity_condition": cond_parity,
             "faithful_required": faithful_required,
         },
-        met=True,
     )
 
 
@@ -419,9 +416,20 @@ def ap_size(n: int, k: int) -> int:
 
 
 def ap_recompute(n: int, k: int) -> int:
-    """Exact |2*P + k*P| for P = {0..n-1}, by direct computation."""
-    p = IntSet._wrap(tuple(range(n)))
-    return dilate_sum_size(p, DilateSpec((2, k)))
+    """Exact |2*P + k*P| for P = {0..n-1}, by direct computation.
+
+    P is held as a range, which the fold reads as it reads a tuple. A fold
+    the backend would refuse is refused before anything of size n is
+    allocated, with the backend's own error: ArithmeticRangeError when the
+    int64 envelope (|k|+2)(n-1) is exceeded, else MergeLimitError when the
+    span is above BITSET_SPAN_LIMIT and the n x n merge above
+    MERGE_PAIR_LIMIT.
+    """
+    spec = DilateSpec((2, k))
+    p = range(n)
+    if _fold_guard(tuple((m, p) for m in spec)) > backend.BITSET_SPAN_LIMIT:
+        backend._check_pairs(n, n)
+    return dilate_sum_size(IntSet._wrap(p), spec)
 
 
 def deficiency(a: IntSet, spec) -> int:
@@ -440,38 +448,8 @@ def deficiency(a: IntSet, spec) -> int:
 
 
 def _na_report(statement_id, error):
-    return BoundReport(
-        statement_id=statement_id,
-        hypotheses_met=False,
-        lhs=None,
-        rhs=None,
-        slack=None,
-        holds=None,
-        hypotheses={"checker_ran": False},
-        detail={"error": str(error)},
-    )
-
-
-def _once(compute):
-    """A callable returning compute()'s value, computed on the first call.
-
-    A DilatesError raised by that call is raised again by every later one,
-    so each caller sees what its own computation would have raised.
-    """
-    memo = []
-
-    def get():
-        if not memo:
-            try:
-                memo.append((compute(), None))
-            except DilatesError as err:
-                memo.append((None, err))
-        value, err = memo[0]
-        if err is not None:
-            raise err
-        return value
-
-    return get
+    return _report(statement_id, GE, None, None, {"checker_ran": False},
+                   detail={"error": str(error)})
 
 
 def check_suite(a: IntSet, k: int):
@@ -482,9 +460,9 @@ def check_suite(a: IntSet, k: int):
     that. Per-checker errors become not-applicable entries rather than
     aborting the suite.
 
-    |2A+kA| is folded at most once and shared. The basic, four,
+    |2A+kA| is folded once, up front, and shared. The basic, four,
     full/semi-full and main-small checkers all fold exactly it; if the
-    fold raises, each of them raises the same error where it would have
+    fold raised, each of them raises the same error where it would have
     folded, so its not-applicable record is unchanged. The large-set
     checker runs on the canonical set, and x -> (x - min A)/g maps 2A+kA
     bijectively onto 2*canon + k*canon, so the sizes agree. It reuses the
@@ -504,12 +482,23 @@ def check_suite(a: IntSet, k: int):
         except DilatesError as err:
             reports.append(_na_report(statement_id, err))
             return
-        if isinstance(out, tuple):
-            reports.extend(out)
-        else:
-            reports.append(out)
+        reports.extend(out if isinstance(out, tuple) else (out,))
 
-    size = _once(lambda: _pair_size(2, a, k, a))
+    try:
+        folded, fold_error = _pair_size(2, a, k, a), None
+    except DilatesError as err:
+        folded, fold_error = None, err
+
+    def size():
+        if fold_error is not None:
+            raise fold_error
+        return folded
+
+    def noted(*canon_reports):
+        """The reports of a checker run on canon, noting whether canon != a."""
+        note = {"canonicalized": normalized}
+        return tuple(replace(r, detail={**r.detail, **note}) for r in canon_reports)
+
     run("basic_bound", lambda: _bound_basic(a, a, 2, k, size))
     run("four_bound", lambda: _bound_four(a, 2, k, size))
     run("full_semifull_bound", lambda: _bound_full_semifull(a, k, size))
@@ -517,33 +506,18 @@ def check_suite(a: IntSet, k: int):
     run("main_small_bound", lambda: _bound_main_small(a, k, size))
 
     def canon_size():
-        try:
-            value = size()
-        except DilatesError:
+        if fold_error is not None:
             return _pair_size(2, canon, k, canon)
         _fold_guard(((2, canon.elements), (k, canon.elements)))
-        return value
+        return folded
 
-    def large():
-        strict, cor = _bound_main_large(canon, k, canon_size)
-        note = {"canonicalized": normalized}
-        return (
-            replace(strict, detail={**strict.detail, **note}),
-            replace(cor, detail={**cor.detail, **note}),
-        )
-
-    run("main_large_strict", large)
+    run("main_large_strict", lambda: noted(*_bound_main_large(canon, k, canon_size)))
 
     blocks = decompose(canon, k).blocks
     for residue, block in blocks.items():
         if len(blocks) < 2 or component_count(block, k * k) >= k:
             continue
-
-        def faithful(r=residue):
-            rep = check_faithful(canon, k, r)
-            return replace(rep, detail={**rep.detail, "canonicalized": normalized})
-
-        run("faithful_component", faithful)
+        run("faithful_component", lambda r=residue: noted(check_faithful(canon, k, r)))
 
     reports.sort(key=lambda r: (r.statement_id, r.detail.get("residue", -1)))
     return reports

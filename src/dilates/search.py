@@ -138,6 +138,19 @@ def enumerate_canonical(cardinality: int, range_max: int, reflection_quotient: b
     )
 
 
+def _check_width(config):
+    """Refuse a search whose masks would exceed the bitset span limit.
+
+    A singleton family needs no masks, so cardinality 1 always passes.
+    """
+    width = config.spec.weight * config.range_max
+    if config.cardinality > 1 and width > backend.BITSET_SPAN_LIMIT:
+        raise SearchConfigError(
+            f"search masks need up to weight*range = {width} bits, above the"
+            f" bitset span limit {backend.BITSET_SPAN_LIMIT}"
+        )
+
+
 def _mask_plan(coeffs, range_max):
     """Offsets and recurrence terms for the per-subset masks.
 
@@ -239,12 +252,7 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
             nodes_pruned=0,
         )
 
-    width = config.spec.weight * config.range_max
-    if width > backend.BITSET_SPAN_LIMIT:
-        raise SearchConfigError(
-            f"search masks need up to weight*range = {width} bits, above the"
-            f" bitset span limit {backend.BITSET_SPAN_LIMIT}"
-        )
+    _check_width(config)
 
     # Progression upper bound; a member of every family, so pruning
     # against it can only discard values that exceed the true minimum.
@@ -261,6 +269,26 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
         nodes_visited=visited,
         nodes_pruned=pruned,
     )
+
+
+def _probe_configs(spec, cardinalities, range_max, **config_options):
+    """One checked SearchConfig per distinct cardinality, ascending.
+
+    Every cardinality is checked before any search runs, and a refusal is
+    the one min_dilate_sum would give at the first refused cardinality.
+    """
+    if spec.magnitude_gcd != 1:
+        raise SearchConfigError(
+            f"coefficient magnitudes {spec.coefficients} must have gcd 1"
+        )
+    configs = []
+    for n in sorted(set(cardinalities)):
+        config = SearchConfig(
+            spec=spec, cardinality=n, range_max=range_max, **config_options
+        )
+        _check_width(config)
+        configs.append(config)
+    return configs
 
 
 @dataclass(frozen=True)
@@ -281,18 +309,14 @@ def conjecture_probe(spec, cardinalities, range_max: int, **config_options):
     that the coefficients' total magnitude suggests; coefficient
     magnitudes must be coprime overall. Rows come back in ascending n.
     Minima are minima over [0, range_max]; no claim is made that the
-    range captures the global minimum.
+    range captures the global minimum. Every cardinality is checked before
+    the first search, so a refused one costs no search time.
     """
     spec = _coerce_spec(spec)
-    if spec.magnitude_gcd != 1:
-        raise SearchConfigError(
-            f"coefficient magnitudes {spec.coefficients} must have gcd 1"
-        )
     rows = []
-    for n in sorted(set(cardinalities)):
-        result = min_dilate_sum(
-            SearchConfig(spec=spec, cardinality=n, range_max=range_max, **config_options)
-        )
+    for config in _probe_configs(spec, cardinalities, range_max, **config_options):
+        result = min_dilate_sum(config)
+        n = config.cardinality
         rows.append(
             ProbeRow(
                 cardinality=n,

@@ -7,6 +7,7 @@ from dilates import (
     HypothesisError,
     IntSet,
     InvalidModulusError,
+    MergeLimitError,
     VerificationError,
     ap_exact_size,
     ap_recompute,
@@ -141,6 +142,12 @@ class TestMarginalTotalBound:
         assert rep.detail["relaxed"]
         assert not rep.hypotheses["odd_prime_k"]
 
+    def test_relaxed_composite_k_not_applicable(self):
+        # The mass is still computed, but k = 9 is outside the hypothesis.
+        rep = bound_marginal_total(IntSet([0, 1, 2]), 9, relax_modulus=True)
+        assert rep.verdict == "not-applicable"
+        assert (rep.lhs, rep.rhs, rep.slack) == (6, 6, 0)
+
 
 class TestFaithful:
     def test_singleton_component(self):
@@ -175,6 +182,33 @@ class TestFaithful:
         rep = check_faithful(IntSet([0, 1, 2]), 3, 7)
         assert rep.verdict == "not-applicable"
         assert not rep.hypotheses["component_exists"]
+
+    # Complete records of the three ways the checker is not applicable: a
+    # failed gate, a missing residue and an ineligible component.
+    @pytest.mark.parametrize(
+        "elems, k, residue, hypotheses",
+        [
+            ([0, 2, 4], 3, 0, (True, True, False, False, False, False)),
+            ([0, 1, 2], 3, 7, (True, True, True, False, False, False)),
+            ([0, 1, 3, 6], 3, 0, (True, True, True, True, False, True)),
+        ],
+    )
+    def test_not_applicable_records_pinned(self, elems, k, residue, hypotheses):
+        names = ("odd_prime_k", "zero_in_set", "gcd_one", "component_exists",
+                 "component_not_semi_full", "other_component_exists")
+        rep = check_faithful(IntSet(elems), k, residue)
+        assert rep.to_record() == {
+            "statement_id": "faithful_component",
+            "hypotheses_met": False,
+            "lhs": None,
+            "rhs": None,
+            "slack": None,
+            "verdict": "not-applicable",
+            "relation": ">=",
+            "hypotheses": dict(zip(names, hypotheses)),
+            "detail": {"residue": residue},
+        }
+        assert list(rep.to_record()["hypotheses"]) == list(names)
 
     def test_faithful_only_when_required(self):
         # C = {0,3,9} is 2-full and strictly largest, so only the
@@ -263,6 +297,34 @@ class TestApExactSize:
     def test_recompute_matches_oracle(self):
         for n, k in [(2, 3), (3, 5), (4, 5), (6, 7)]:
             assert ap_recompute(n, k) == len(naive_dilate_sum(tuple(range(n)), (2, k)))
+
+    @pytest.mark.parametrize(
+        "n, error, message",
+        [
+            # (3+2)*(30-1) = 145 > 100, the lowered int64 limit.
+            (30, ArithmeticRangeError, "dilate-sum envelope 145 exceeds"),
+            # span 5*4 = 20 > 10 and 5*5 = 25 > 16 sums.
+            (5, MergeLimitError, "merge of 5 x 5 elements would form 25 sums"),
+        ],
+    )
+    def test_recompute_refuses_before_folding(self, monkeypatch, n, error, message):
+        monkeypatch.setattr(dilates.backend, "INT64_MAX", 100)
+        monkeypatch.setattr(dilates.backend, "BITSET_SPAN_LIMIT", 10)
+        monkeypatch.setattr(dilates.backend, "MERGE_PAIR_LIMIT", 16)
+
+        def no_fold(terms):
+            raise AssertionError("a refused progression was folded")
+
+        monkeypatch.setattr(dilates.backend, "fold_size", no_fold)
+        monkeypatch.setattr(dilates.backend, "fold_elements", no_fold)
+        with pytest.raises(error, match=message):
+            ap_recompute(n, 3)
+
+    def test_recompute_merges_within_limits(self, monkeypatch):
+        # span 5*3 = 15 > 10 takes the merge route; 4*4 = 16 sums are allowed.
+        monkeypatch.setattr(dilates.backend, "BITSET_SPAN_LIMIT", 10)
+        monkeypatch.setattr(dilates.backend, "MERGE_PAIR_LIMIT", 16)
+        assert ap_recompute(4, 3) == ap_size(4, 3)
 
     def test_validation(self):
         with pytest.raises(InvalidModulusError):
@@ -395,8 +457,20 @@ class TestCheckSuite:
         # constants for k = 17 overflow; the suite degrades, not aborts
         reports = check_suite(IntSet([0, 1, 2]), 17)
         by_id = {r.statement_id: r for r in reports}
-        assert by_id["main_small_bound"].verdict == "not-applicable"
-        assert "error" in by_id["main_small_bound"].detail
+        assert by_id["main_small_bound"].to_record() == {
+            "statement_id": "main_small_bound",
+            "hypotheses_met": False,
+            "lhs": None,
+            "rhs": None,
+            "slack": None,
+            "verdict": "not-applicable",
+            "relation": ">=",
+            "hypotheses": {"checker_ran": False},
+            "detail": {
+                "error": "bound constants for k=17 exceed the signed 64-bit range "
+                         "(largest supported odd prime is 13)"
+            },
+        }
 
 
 def test_report_round_trip():

@@ -7,6 +7,9 @@ import sys
 
 import pytest
 
+import dilates.backend
+import dilates.cli
+import dilates.search
 from dilates import BoundReport
 from dilates.cli import main
 
@@ -210,6 +213,29 @@ class TestProbe:
         ]
         assert csv_rows == json_rows
 
+    @pytest.mark.parametrize(
+        "n_from, n_to, range_max, message",
+        [
+            ("2", "40", "26", "range_max 26 cannot hold 28 elements"),
+            ("2", "100000000", "26", "range_max 26 cannot hold 28 elements"),
+            ("0", "100000000", "26", "cardinality must be >= 1, got 0"),
+            ("1", "100000000", "100000000", "search masks need up to weight*range"),
+        ],
+    )
+    def test_refuses_before_building_range(self, monkeypatch, capsys,
+                                           n_from, n_to, range_max, message):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached after an impossible cardinality")
+
+        monkeypatch.setattr(dilates.cli, "conjecture_probe", unreachable)
+        monkeypatch.setattr(dilates.search, "min_dilate_sum", unreachable)
+        code, out, err = run_cli(
+            capsys, "probe", "--coeffs", "2,3", "--n-from", n_from,
+            "--n-to", n_to, "--range", range_max,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
+
     def test_bad_range_order(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -236,6 +262,24 @@ class TestAp:
     def test_invalid_k(self, capsys):
         code, _, err = run_cli(capsys, "ap", "--n", "4", "--k", "9")
         assert code == 2
+
+    def test_int64_refusal_exits_three(self, capsys):
+        code, out, err = run_cli(capsys, "ap", "--n", "10000000000000000000", "--k", "3")
+        assert (code, out) == (3, "")
+        assert "exceeds the signed 64-bit range" in err
+
+    def test_merge_refusal_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(dilates.backend, "BITSET_SPAN_LIMIT", 10)
+        monkeypatch.setattr(dilates.backend, "MERGE_PAIR_LIMIT", 16)
+
+        def no_fold(terms):
+            raise AssertionError("a refused progression was folded")
+
+        monkeypatch.setattr(dilates.backend, "fold_size", no_fold)
+        monkeypatch.setattr(dilates.backend, "fold_elements", no_fold)
+        code, out, err = run_cli(capsys, "ap", "--n", "5", "--k", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: merge of 5 x 5 elements would form 25 sums, above the limit of 16\n"
 
 
 class TestArgparse:

@@ -272,3 +272,22 @@ class TestConjectureProbe:
     def test_cardinality_fits_range(self):
         with pytest.raises(SearchConfigError):
             conjecture_probe(DilateSpec((2, 3)), [7], 5)
+
+    @pytest.mark.parametrize(
+        "cardinalities, range_max, message",
+        [
+            (range(2, 41), 26, "range_max 26 cannot hold 28 elements"),
+            ([3, 0, 2], 26, "cardinality must be >= 1, got 0"),
+            # the singleton row would search first; n = 2 needs 5*40 > 150 mask bits
+            ([1, 2, 3], 40, "weight\\*range = 200 bits"),
+        ],
+    )
+    def test_refuses_before_any_search(self, monkeypatch, cardinalities, range_max, message):
+        monkeypatch.setattr(backend, "BITSET_SPAN_LIMIT", 150)
+
+        def no_search(config):
+            raise AssertionError("a search ran before the refusal")
+
+        monkeypatch.setattr(search, "min_dilate_sum", no_search)
+        with pytest.raises(SearchConfigError, match=message):
+            conjecture_probe(DilateSpec((2, 3)), cardinalities, range_max)
