@@ -141,6 +141,46 @@ class TestMinDilateSum:
                 result.nodes_pruned,
             ) == expected
 
+    # Minima and complete witness lists at sizes the brute-force oracle
+    # cannot reach, computed by the search before any lookahead cut, so a
+    # cut that loses a witness or returns a wrong minimum fails here.
+    @pytest.mark.parametrize(
+        "coeffs, n, r, minimum, witnesses",
+        [
+            ((2, 3), 13, 30, 58, [(0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16, 18)]),
+            ((2, 3), 14, 30, 62, [(0, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20)]),
+            ((2, 5), 9, 30, 45, [(0, 2, 4, 5, 7, 9, 10, 12, 14)]),
+            (
+                (2, 7),
+                7,
+                30,
+                33,
+                [
+                    (0, 2, 4, 7, 9, 11, 14),
+                    (0, 2, 4, 7, 9, 11, 16),
+                    (0, 2, 4, 7, 9, 11, 18),
+                    (0, 2, 4, 7, 9, 14, 16),
+                    (0, 2, 4, 9, 11, 16, 18),
+                    (0, 2, 5, 7, 9, 12, 14),
+                    (0, 2, 5, 7, 9, 14, 16),
+                    (0, 2, 7, 9, 11, 16, 18),
+                ],
+            ),
+            ((-3, 2), 7, 22, 28, [(0, 1, 3, 4, 6, 7, 9)]),
+            # the first witness ties the progression seed
+            ((1, -3), 7, 24, 25, [(0, 1, 2, 3, 4, 5, 6), (0, 1, 3, 4, 6, 7, 9)]),
+            ((2, -3, 5), 8, 30, 69, [(0, 1, 2, 3, 4, 5, 6, 7)]),
+            ((-1, 3, 4), 8, 30, 57, [(0, 1, 2, 3, 4, 5, 6, 7)]),
+        ],
+    )
+    def test_exact_pins_above_oracle_sizes(self, coeffs, n, r, minimum, witnesses):
+        result = min_dilate_sum(
+            SearchConfig(DilateSpec(coeffs), n, r, witness_cap=1000)
+        )
+        assert result.minimum == minimum
+        assert [w.elements for w in result.witnesses] == witnesses
+        assert result.total_witnesses == len(witnesses)
+
     @settings(max_examples=150, deadline=None)
     @given(
         coeffs=st.lists(
