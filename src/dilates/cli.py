@@ -19,7 +19,7 @@ from .errors import (
     DilatesError,
 )
 from .intset import DilateSpec, IntSet, dilate_sum
-from .search import SearchConfig, _probe_configs, conjecture_probe, min_dilate_sum
+from .search import SearchConfig, conjecture_probe, min_dilate_sum
 
 
 class _UsageError(Exception):
@@ -142,12 +142,6 @@ def _cmd_probe(args):
     if args.n_from > args.n_to:
         raise _UsageError("--n-from must not exceed --n-to")
     spec = _parse_coeffs(args.coeffs)
-    # A cardinality is refused below 1, above range + 1, or from 2 on when
-    # the search masks are too wide, so the first refused one in
-    # [n_from, n_to] is among these; checking them first means a refusal
-    # builds no range and runs no search.
-    edges = {args.n_from, max(args.n_from, 2), max(args.n_from, args.range + 2)}
-    _probe_configs(spec, [n for n in edges if n <= args.n_to], args.range)
     rows = conjecture_probe(spec, range(args.n_from, args.n_to + 1), args.range)
     if args.csv:
         _emit_csv(

@@ -10,13 +10,25 @@ canonical form fits in [0, R].
 Branch and bound is one depth-first walk of the family in ascending
 lexicographic order, from the prefix (0,), with one running incumbent:
 the smallest value met so far, seeded by the progression {0, ..., n-1},
-which belongs to every family. The walk is exact. A prefix is cut only
-when its value already reaches the incumbent, and appending an element
-above the current maximum strictly grows the dilate sum, so every
-completion of a cut prefix is strictly above the incumbent, hence
-strictly above the final minimum, and can never tie it: no witness is
-lost. Leaves are reached in lexicographic order, so the witnesses come
-out sorted. The traversal counters are measured against the running
+which belongs to every family. The walk is exact. A prefix with r
+elements still to add is cut when value + inc*r exceeds the incumbent,
+where inc is the number of distinct nonempty subset sums of the positive
+coefficients plus the same count for the magnitudes of the negative
+ones (3 for (2, 3), 2 for (-3, 2), 4 for (2, -3, 5)).
+
+Why the cut is admissible. Every prefix P has minimum 0; let m be its
+maximum and append x > m. Let S+ be the sum of the positive
+coefficients. For each nonempty set T of positive indices, with C_T the
+sum of their coefficients, put x at T, m at the other positive indices
+and 0 at every negative index: the sum is S+*m + C_T*(x - m). It exceeds
+max S(P) = S+*m, and distinct C_T give distinct sums. The same argument
+applied to the negative coefficients gives new sums below min S(P). So
+each appended element adds at least inc sums, and by induction every
+completion of a prefix has value at least value + inc*r. A cut prefix's
+completions are therefore strictly above the incumbent, hence strictly
+above the final minimum, and can never tie it: no witness is lost.
+Leaves are reached in lexicographic order, so the witnesses come out
+sorted. The traversal counters are measured against the running
 incumbent, so they depend on the visit order; minima and witnesses do
 not.
 
@@ -79,7 +91,9 @@ class SearchResult:
     witness_cap; ``total_witnesses`` is always the exact count.
     ``nodes_visited`` counts prefixes whose dilate-sum value was computed
     (all leaves, plus internal nodes when pruning is on); ``nodes_pruned``
-    counts cut subtrees.
+    counts cut subtrees: internal nodes whose value plus inc times the
+    elements still to add exceeds the running incumbent (see the module
+    docstring).
     """
 
     minimum: int
@@ -175,7 +189,26 @@ def _mask_plan(coeffs, range_max):
     return offsets, terms
 
 
-def _walk(config, seed, plan):
+def _growth(coeffs):
+    """inc: the least number of new sums that each appended element adds.
+
+    The count of distinct nonempty subset sums of the positive
+    coefficients plus that of the negative coefficients' magnitudes; see
+    the module docstring for why every appended element adds that many.
+    """
+
+    def nonempty_subset_sums(magnitudes):
+        sums = {0}
+        for c in magnitudes:
+            sums |= {s + c for s in sums}
+        return len(sums) - 1
+
+    return nonempty_subset_sums(c for c in coeffs if c > 0) + nonempty_subset_sums(
+        -c for c in coeffs if c < 0
+    )
+
+
+def _walk(config, seed, plan, inc):
     n = config.cardinality
     r_max = config.range_max
     reflect = config.reflection_quotient
@@ -193,6 +226,8 @@ def _walk(config, seed, plan):
         nonlocal best, visited, pruned
         inner = len(prefix) < n - 1
         top = r_max - (n - len(prefix) - 2)
+        # the least growth of a child's completions
+        lead = inc * (n - len(prefix) - 1)
         m_full = masks[full]
         for x in nxts:
             m = m_full
@@ -201,7 +236,7 @@ def _walk(config, seed, plan):
             if inner:
                 if pruning:
                     visited += 1
-                    if m.bit_count() >= best:
+                    if m.bit_count() + lead > best:
                         pruned += 1
                         continue
                 # The child survived, so it needs the masks of every subset.
@@ -258,7 +293,7 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
     # against it can only discard values that exceed the true minimum.
     seed = backend.fold_size(tuple((c, tuple(range(n))) for c in coeffs))
     best, witnesses, visited, pruned = _walk(
-        config, seed, _mask_plan(coeffs, config.range_max)
+        config, seed, _mask_plan(coeffs, config.range_max), _growth(coeffs)
     )
     if not witnesses:
         raise RuntimeError("canonical family unexpectedly empty")
@@ -271,24 +306,44 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
     )
 
 
+def _first_at_least(ascending, bound):
+    """The first member of an ascending range that is at least bound, or None."""
+    i = max(0, -((ascending.start - bound) // ascending.step))
+    return ascending[i] if i < len(ascending) else None
+
+
 def _probe_configs(spec, cardinalities, range_max, **config_options):
     """One checked SearchConfig per distinct cardinality, ascending.
 
     Every cardinality is checked before any search runs, and a refusal is
     the one min_dilate_sum would give at the first refused cardinality.
+    A cardinality is refused below 1, above range_max + 1, or from 2 on
+    when the search masks are too wide, so the first refused member of a
+    range is its first member, its first from 2 on or its first above
+    range_max + 1. Those are checked first, so a huge range is refused
+    without being walked.
     """
     if spec.magnitude_gcd != 1:
         raise SearchConfigError(
             f"coefficient magnitudes {spec.coefficients} must have gcd 1"
         )
-    configs = []
-    for n in sorted(set(cardinalities)):
+
+    def checked(n):
         config = SearchConfig(
             spec=spec, cardinality=n, range_max=range_max, **config_options
         )
         _check_width(config)
-        configs.append(config)
-    return configs
+        return config
+
+    if isinstance(cardinalities, range):
+        ordered = cardinalities if cardinalities.step > 0 else cardinalities[::-1]
+        bounds = (ordered.start, 2, range_max + 2)
+        edges = {_first_at_least(ordered, b) for b in bounds} - {None}
+        for n in sorted(edges):
+            checked(n)
+    else:
+        ordered = sorted(set(cardinalities))
+    return [checked(n) for n in ordered]
 
 
 @dataclass(frozen=True)
@@ -310,7 +365,8 @@ def conjecture_probe(spec, cardinalities, range_max: int, **config_options):
     magnitudes must be coprime overall. Rows come back in ascending n.
     Minima are minima over [0, range_max]; no claim is made that the
     range captures the global minimum. Every cardinality is checked before
-    the first search, so a refused one costs no search time.
+    the first search, so a refused one costs no search time, and a range
+    is checked from its ends, so a huge one is refused at once.
     """
     spec = _coerce_spec(spec)
     rows = []

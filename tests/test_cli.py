@@ -227,7 +227,6 @@ class TestProbe:
         def unreachable(*args, **kwargs):
             raise AssertionError("reached after an impossible cardinality")
 
-        monkeypatch.setattr(dilates.cli, "conjecture_probe", unreachable)
         monkeypatch.setattr(dilates.search, "min_dilate_sum", unreachable)
         code, out, err = run_cli(
             capsys, "probe", "--coeffs", "2,3", "--n-from", n_from,

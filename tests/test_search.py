@@ -119,14 +119,15 @@ class TestMinDilateSum:
 
     # (minimum, total_witnesses, nodes_visited, nodes_pruned), pruned then
     # unpruned. The unpruned counts were measured before node values were
-    # carried incrementally; the pruned ones against one running incumbent.
+    # carried incrementally; the pruned ones against one running incumbent,
+    # with the lookahead cut value + inc*r > incumbent.
     @pytest.mark.parametrize(
         "coeffs, n, r, pruned_counts, unpruned_counts",
         [
-            ((2, 3), 6, 14, (22, 1, 2097, 403), (22, 1, 2002, 0)),
+            ((2, 3), 6, 14, (22, 1, 1364, 640), (22, 1, 2002, 0)),
             ((-3, 2), 5, 12, (18, 1, 714, 0), (18, 1, 495, 0)),
-            ((2, -3, 5), 5, 12, (39, 1, 341, 139), (39, 1, 495, 0)),
-            ((1, 2, 4), 6, 14, (36, 1, 511, 358), (36, 1, 2002, 0)),
+            ((2, -3, 5), 5, 12, (39, 1, 255, 158), (39, 1, 495, 0)),
+            ((1, 2, 4), 6, 14, (36, 1, 135, 95), (36, 1, 2002, 0)),
         ],
     )
     def test_pinned_counters(self, coeffs, n, r, pruned_counts, unpruned_counts):
@@ -194,6 +195,9 @@ class TestMinDilateSum:
     # A mixed-sign case on which shifts that ignore a coefficient's sign
     # give a wrong answer; small random cases often do not show it.
     @example(coeffs=[1, 5, -5], n=5, extra=1, pruning=False, reflect=False)
+    # Each appended element adds exactly inc = 2 sums here, so a larger
+    # lookahead count, or a cut that is not strict, loses the minimum.
+    @example(coeffs=[1, -1], n=3, extra=0, pruning=True, reflect=False)
     def test_differential_against_brute_force(self, coeffs, n, extra, pruning, reflect):
         r = min(n - 1 + extra, 10)
         expected_min, expected_wits = brute_minimum(coeffs, n, r, reflect=reflect)
@@ -229,8 +233,7 @@ class TestMinDilateSum:
             min_dilate_sum(SearchConfig(spec, 3, 13))
 
     def test_pruning_actually_prunes(self):
-        # partial values only reach the incumbent once (n-1)^2 can exceed
-        # the progression seed 5n - 6, so n = 6 is the first useful size
+        # on this range the lookahead first cuts at n = 5
         pruned = min_dilate_sum(SearchConfig(DilateSpec((2, 3)), 6, 14))
         unpruned = min_dilate_sum(
             SearchConfig(DilateSpec((2, 3)), 6, 14, pruning=False)
@@ -285,6 +288,32 @@ class TestMinDilateSum:
         assert SearchResult.from_payload(result.to_payload()) == result
 
 
+class TestLookaheadGrowth:
+    @pytest.mark.parametrize(
+        "coeffs, inc",
+        [((2, 3), 3), ((2, 3, 5), 6), ((-3, 2), 2), ((2, -3, 5), 4), ((1, 2, 4), 7)],
+    )
+    def test_inc_pinned(self, coeffs, inc):
+        assert search._growth(coeffs) == inc
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        coeffs=st.lists(st.integers(-6, 6).filter(bool), min_size=2, max_size=3),
+        rest=st.sets(st.integers(1, 12), max_size=4),
+        gap=st.integers(1, 12),
+    )
+    # inc is attained here, so any count above it fails; counting the
+    # distinct nonempty subset sums of all coefficients together gives 3
+    @example(coeffs=[1, -1], rest=set(), gap=1)
+    def test_each_appended_element_adds_inc_sums(self, coeffs, rest, gap):
+        prefix = (0, *sorted(rest))
+        grown = (*prefix, prefix[-1] + gap)
+        added = len(naive_dilate_sum(grown, coeffs)) - len(
+            naive_dilate_sum(prefix, coeffs)
+        )
+        assert added >= search._growth(coeffs)
+
+
 class TestConjectureProbe:
     def test_regression_rows(self):
         rows = conjecture_probe(DilateSpec((2, 3)), range(2, 4), 12)
@@ -331,3 +360,27 @@ class TestConjectureProbe:
         monkeypatch.setattr(search, "min_dilate_sum", no_search)
         with pytest.raises(SearchConfigError, match=message):
             conjecture_probe(DilateSpec((2, 3)), cardinalities, range_max)
+
+    @pytest.mark.parametrize(
+        "cardinalities, message",
+        [
+            (range(2, 10**8), "range_max 26 cannot hold 28 elements"),
+            (range(10**8, 1, -1), "range_max 26 cannot hold 28 elements"),
+            (range(1, 10**8, 9), "range_max 26 cannot hold 28 elements"),
+            (range(2, 10**8, 9), "range_max 26 cannot hold 29 elements"),
+            (range(-5, 10**8), "cardinality must be >= 1, got -5"),
+        ],
+    )
+    def test_huge_range_refused_at_once(self, monkeypatch, cardinalities, message):
+        built = []
+        real_config = search.SearchConfig
+
+        def counted_config(*args, **kwargs):
+            built.append(kwargs["cardinality"])
+            return real_config(*args, **kwargs)
+
+        monkeypatch.setattr(search, "SearchConfig", counted_config)
+        with pytest.raises(SearchConfigError, match=message):
+            conjecture_probe(DilateSpec((2, 3)), cardinalities, 26)
+        # only the range's edges were checked
+        assert len(built) <= 3
