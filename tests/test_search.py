@@ -349,6 +349,12 @@ class TestConjectureProbe:
             ([3, 0, 2], 26, "cardinality must be >= 1, got 0"),
             # the singleton row would search first; n = 2 needs 5*40 > 150 mask bits
             ([1, 2, 3], 40, "weight\\*range = 200 bits"),
+            # a huge range is refused from its edges, without being walked
+            (range(2, 10**8), 26, "range_max 26 cannot hold 28 elements"),
+            (range(10**8, 1, -1), 26, "range_max 26 cannot hold 28 elements"),
+            (range(1, 10**8, 9), 26, "range_max 26 cannot hold 28 elements"),
+            (range(2, 10**8, 9), 26, "range_max 26 cannot hold 29 elements"),
+            (range(-5, 10**8), 26, "cardinality must be >= 1, got -5"),
         ],
     )
     def test_refuses_before_any_search(self, monkeypatch, cardinalities, range_max, message):
@@ -357,21 +363,6 @@ class TestConjectureProbe:
         def no_search(config):
             raise AssertionError("a search ran before the refusal")
 
-        monkeypatch.setattr(search, "min_dilate_sum", no_search)
-        with pytest.raises(SearchConfigError, match=message):
-            conjecture_probe(DilateSpec((2, 3)), cardinalities, range_max)
-
-    @pytest.mark.parametrize(
-        "cardinalities, message",
-        [
-            (range(2, 10**8), "range_max 26 cannot hold 28 elements"),
-            (range(10**8, 1, -1), "range_max 26 cannot hold 28 elements"),
-            (range(1, 10**8, 9), "range_max 26 cannot hold 28 elements"),
-            (range(2, 10**8, 9), "range_max 26 cannot hold 29 elements"),
-            (range(-5, 10**8), "cardinality must be >= 1, got -5"),
-        ],
-    )
-    def test_huge_range_refused_at_once(self, monkeypatch, cardinalities, message):
         built = []
         real_config = search.SearchConfig
 
@@ -379,8 +370,8 @@ class TestConjectureProbe:
             built.append(kwargs["cardinality"])
             return real_config(*args, **kwargs)
 
+        monkeypatch.setattr(search, "min_dilate_sum", no_search)
         monkeypatch.setattr(search, "SearchConfig", counted_config)
         with pytest.raises(SearchConfigError, match=message):
-            conjecture_probe(DilateSpec((2, 3)), cardinalities, 26)
-        # only the range's edges were checked
+            conjecture_probe(DilateSpec((2, 3)), cardinalities, range_max)
         assert len(built) <= 3
