@@ -130,7 +130,8 @@ def fold_elements(terms):
     FOLD_BITS_PER_SUM bits per sum the merge would form (the product of
     the term sizes) is read out of its bitmask. Any other fold merges
     pairwise, and a merge step that would form more than MERGE_PAIR_LIMIT
-    pairs raises MergeLimitError before it runs. The bitmask costs one
+    pairs raises MergeLimitError before it runs (the first step before
+    anything of a term's size is allocated). The bitmask costs one
     shift of up to span bits per element of each term, the merge one set
     insertion per sum. Bitmask time over merge time (CPU, fastest of 3,
     2-CPU shared host) on random sets of 100 or 300 elements with
@@ -149,6 +150,8 @@ def fold_elements(terms):
         coeffs = tuple(c for c, _ in terms)
         sets = tuple(e for _, e in terms)
         return _impl.mask_elements(*_impl.fold_mask(coeffs, sets))
+    if len(terms) > 1:
+        _check_pairs(len(terms[0][1]), len(terms[1][1]))
     acc = _dilated(*terms[0])
     for c, elems in terms[1:]:
         _check_pairs(len(acc), len(elems))

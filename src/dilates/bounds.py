@@ -23,9 +23,9 @@ Statement ids:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
-from . import backend
 from .backend import _fold_guard, fold_size
 from .components import (
     _require_odd_prime,
@@ -44,7 +44,7 @@ from .errors import (
     InvalidModulusError,
     VerificationError,
 )
-from .intset import DilateSpec, IntSet, canonicalize, dilate_sum_size, _coerce_spec
+from .intset import IntSet, canonicalize, dilate_sum_size, _coerce_spec
 
 # Largest odd prime whose bound constants 4*k^(k-1) and 8*k^k both stay
 # inside int64; the next prime, 17, does not.
@@ -381,9 +381,10 @@ def ap_exact_size(n: int, k: int, verify: bool = False) -> int:
     ``verify=True`` the size is also recomputed exactly; a mismatch
     raises VerificationError. The closed form is genuinely exact only
     once n >= k (and trivially at n = 2); verification is what detects
-    the shortfall below that.
+    the shortfall below that. A non-integer n raises TypeError.
     """
     _require_odd_prime(k)
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"cardinality must be >= 1, got {n}")
     formula = 1 if n == 1 else (k + 2) * n - 2 * k
@@ -405,9 +406,10 @@ def ap_size(n: int, k: int) -> int:
     makes the odd prime k divide i - i', and |i - i'| < k); for n >= k the
     closed form is exact. The two agree at n = k, and
     n**2 - ((k+2)n - 2k) = (n-2)(n-k) shows the minimum picks the right
-    one in both ranges.
+    one in both ranges. A non-integer n raises TypeError.
     """
     _require_odd_prime(k)
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"cardinality must be >= 1, got {n}")
     if n == 1:
@@ -418,18 +420,14 @@ def ap_size(n: int, k: int) -> int:
 def ap_recompute(n: int, k: int) -> int:
     """Exact |2*P + k*P| for P = {0..n-1}, by direct computation.
 
-    P is held as a range, which the fold reads as it reads a tuple. A fold
-    the backend would refuse is refused before anything of size n is
+    P is held as a range, which the fold reads as it reads a tuple, so a
+    fold the backend refuses is refused before anything of size n is
     allocated, with the backend's own error: ArithmeticRangeError when the
     int64 envelope (|k|+2)(n-1) is exceeded, else MergeLimitError when the
     span is above BITSET_SPAN_LIMIT and the n x n merge above
     MERGE_PAIR_LIMIT.
     """
-    spec = DilateSpec((2, k))
-    p = range(n)
-    if _fold_guard(tuple((m, p) for m in spec)) > backend.BITSET_SPAN_LIMIT:
-        backend._check_pairs(n, n)
-    return dilate_sum_size(IntSet._wrap(p), spec)
+    return dilate_sum_size(IntSet._wrap(range(n)), (2, k))
 
 
 def deficiency(a: IntSet, spec) -> int:

@@ -71,8 +71,6 @@ def decompose(a: IntSet, n: int) -> Decomposition:
     for x in a:
         buckets.setdefault(x % n, []).append(x)
     blocks = {r: IntSet._wrap(tuple(buckets[r])) for r in sorted(buckets)}
-    assert sum(len(b) for b in blocks.values()) == len(a)
-    assert all(x % n == r for r, b in blocks.items() for x in b)
     return Decomposition(modulus=n, blocks=blocks)
 
 

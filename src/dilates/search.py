@@ -49,15 +49,18 @@ the popcount of the full mask. A leaf needs only its full mask, and an
 internal node needs the other masks only when it survives its prune test.
 
 Because every mask is bounded by weight*R bits whatever the prefix, one
-check per configuration replaces a range guard at every node: a search
-with weight*R above backend.BITSET_SPAN_LIMIT, far below the signed
-64-bit range, is refused before the walk starts.
+check per configuration replaces a range guard at every node: a
+SearchConfig with weight*R above backend.BITSET_SPAN_LIMIT, far below the
+signed 64-bit range, is refused when it is built, so a search that
+starts never needs a check of its own.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import backend
@@ -67,7 +70,11 @@ from .intset import DilateSpec, IntSet, _coerce_spec
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Parameters for one exhaustive minimization run."""
+    """Parameters for one exhaustive minimization run, checked when built.
+
+    The integers are coerced with ``operator.index``; from cardinality 2
+    on, weight*range_max mask bits must fit backend.BITSET_SPAN_LIMIT.
+    """
 
     spec: DilateSpec
     cardinality: int
@@ -78,9 +85,17 @@ class SearchConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "spec", _coerce_spec(self.spec))
+        for name in ("cardinality", "range_max", "witness_cap"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         _check_family(self.cardinality, self.range_max)
         if self.witness_cap < 1:
             raise SearchConfigError(f"witness_cap must be >= 1, got {self.witness_cap}")
+        width = self.spec.weight * self.range_max
+        if self.cardinality > 1 and width > backend.BITSET_SPAN_LIMIT:
+            raise SearchConfigError(
+                f"search masks need up to weight*range = {width} bits, above the"
+                f" bitset span limit {backend.BITSET_SPAN_LIMIT}"
+            )
 
 
 @dataclass
@@ -150,19 +165,6 @@ def enumerate_canonical(cardinality: int, range_max: int, reflection_quotient: b
         if math.gcd(*rest) == 1
         and (not reflection_quotient or _reflection_kept((0, *rest)))
     )
-
-
-def _check_width(config):
-    """Refuse a search whose masks would exceed the bitset span limit.
-
-    A singleton family needs no masks, so cardinality 1 always passes.
-    """
-    width = config.spec.weight * config.range_max
-    if config.cardinality > 1 and width > backend.BITSET_SPAN_LIMIT:
-        raise SearchConfigError(
-            f"search masks need up to weight*range = {width} bits, above the"
-            f" bitset span limit {backend.BITSET_SPAN_LIMIT}"
-        )
 
 
 def _mask_plan(coeffs, range_max):
@@ -271,8 +273,8 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
     """Exact minimum of |dilate_sum(A, spec)| over the canonical family.
 
     Identical minimum and witness list with pruning on or off; see the
-    module docstring for why. Raises SearchConfigError when
-    weight*range_max exceeds the bitset span limit.
+    module docstring for why. The config was checked when it was built, so
+    the search itself refuses nothing.
     """
     coeffs = config.spec.coefficients
     n = config.cardinality
@@ -286,8 +288,6 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
             nodes_visited=1,
             nodes_pruned=0,
         )
-
-    _check_width(config)
 
     # Progression upper bound; a member of every family, so pruning
     # against it can only discard values that exceed the true minimum.
@@ -306,44 +306,36 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
     )
 
 
-def _first_at_least(ascending, bound):
-    """The first member of an ascending range that is at least bound, or None."""
-    i = max(0, -((ascending.start - bound) // ascending.step))
-    return ascending[i] if i < len(ascending) else None
-
-
 def _probe_configs(spec, cardinalities, range_max, **config_options):
-    """One checked SearchConfig per distinct cardinality, ascending.
+    """One SearchConfig per distinct cardinality, ascending.
 
-    Every cardinality is checked before any search runs, and a refusal is
-    the one min_dilate_sum would give at the first refused cardinality.
-    A cardinality is refused below 1, above range_max + 1, or from 2 on
-    when the search masks are too wide, so the first refused member of a
-    range is its first member, its first from 2 on or its first above
-    range_max + 1. Those are checked first, so a huge range is refused
-    without being walked.
+    Every config is built, and so checked, before any search runs.
+    SearchConfig refuses a cardinality below 1, above range_max + 1, or
+    from 2 on when the search masks are too wide, so the first refused
+    member of the ascending sequence is its first member, its first from
+    2 on or its first from range_max + 2 on. Those edges, found by
+    bisection, are built first, so a huge range is refused without being
+    walked.
     """
     if spec.magnitude_gcd != 1:
         raise SearchConfigError(
             f"coefficient magnitudes {spec.coefficients} must have gcd 1"
         )
-
-    def checked(n):
-        config = SearchConfig(
-            spec=spec, cardinality=n, range_max=range_max, **config_options
-        )
-        _check_width(config)
-        return config
-
     if isinstance(cardinalities, range):
         ordered = cardinalities if cardinalities.step > 0 else cardinalities[::-1]
-        bounds = (ordered.start, 2, range_max + 2)
-        edges = {_first_at_least(ordered, b) for b in bounds} - {None}
-        for n in sorted(edges):
-            checked(n)
     else:
         ordered = sorted(set(cardinalities))
-    return [checked(n) for n in ordered]
+
+    def build(n):
+        return SearchConfig(
+            spec=spec, cardinality=n, range_max=range_max, **config_options
+        )
+
+    edges = {0, bisect_left(ordered, 2), bisect_left(ordered, range_max + 2)}
+    for i in sorted(edges):
+        if i < len(ordered):
+            build(ordered[i])
+    return [build(n) for n in ordered]
 
 
 @dataclass(frozen=True)
@@ -364,9 +356,9 @@ def conjecture_probe(spec, cardinalities, range_max: int, **config_options):
     that the coefficients' total magnitude suggests; coefficient
     magnitudes must be coprime overall. Rows come back in ascending n.
     Minima are minima over [0, range_max]; no claim is made that the
-    range captures the global minimum. Every cardinality is checked before
-    the first search, so a refused one costs no search time, and a range
-    is checked from its ends, so a huge one is refused at once.
+    range captures the global minimum. Every cardinality's config is built,
+    and so checked, before the first search, edges first, so a refused
+    one costs no search time and a huge range is refused at once.
     """
     spec = _coerce_spec(spec)
     rows = []

@@ -312,11 +312,11 @@ class TestApExactSize:
         monkeypatch.setattr(dilates.backend, "BITSET_SPAN_LIMIT", 10)
         monkeypatch.setattr(dilates.backend, "MERGE_PAIR_LIMIT", 16)
 
-        def no_fold(terms):
-            raise AssertionError("a refused progression was folded")
+        def no_build(*args):
+            raise AssertionError("a refused progression was built")
 
-        monkeypatch.setattr(dilates.backend, "fold_size", no_fold)
-        monkeypatch.setattr(dilates.backend, "fold_elements", no_fold)
+        monkeypatch.setattr(dilates.backend, "_dilated", no_build)
+        monkeypatch.setattr(dilates.backend._impl, "sumset_elements", no_build)
         with pytest.raises(error, match=message):
             ap_recompute(n, 3)
 
@@ -331,6 +331,8 @@ class TestApExactSize:
             ap_exact_size(5, 4)
         with pytest.raises(InvalidModulusError):
             ap_exact_size(4, 3.0)
+        with pytest.raises(TypeError):
+            ap_exact_size(4.0, 3)
         with pytest.raises(ValueError):
             ap_exact_size(0, 3)
 
@@ -346,6 +348,8 @@ class TestApSize:
             ap_size(5, 9)
         with pytest.raises(InvalidModulusError):
             ap_size(4, 3.0)
+        with pytest.raises(TypeError):
+            ap_size(4.0, 3)
         with pytest.raises(ValueError):
             ap_size(0, 3)
 

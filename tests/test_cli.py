@@ -271,11 +271,11 @@ class TestAp:
         monkeypatch.setattr(dilates.backend, "BITSET_SPAN_LIMIT", 10)
         monkeypatch.setattr(dilates.backend, "MERGE_PAIR_LIMIT", 16)
 
-        def no_fold(terms):
-            raise AssertionError("a refused progression was folded")
+        def no_build(*args):
+            raise AssertionError("a refused progression was built")
 
-        monkeypatch.setattr(dilates.backend, "fold_size", no_fold)
-        monkeypatch.setattr(dilates.backend, "fold_elements", no_fold)
+        monkeypatch.setattr(dilates.backend, "_dilated", no_build)
+        monkeypatch.setattr(dilates.backend._impl, "sumset_elements", no_build)
         code, out, err = run_cli(capsys, "ap", "--n", "5", "--k", "3")
         assert (code, out) == (2, "")
         assert err == "error: merge of 5 x 5 elements would form 25 sums, above the limit of 16\n"

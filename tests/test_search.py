@@ -215,22 +215,20 @@ class TestMinDilateSum:
         assert [w.elements for w in result.witnesses] == expected_wits
         assert result.total_witnesses == len(expected_wits)
 
-    def test_mask_width_refused_before_any_task(self, monkeypatch):
-        def no_walk(*args):
-            raise AssertionError("the search walk ran")
-
-        monkeypatch.setattr(search, "_walk", no_walk)
+    def test_mask_width_refused_before_any_task(self):
         spec = DilateSpec((2, -3))  # weight 5
         r = backend.BITSET_SPAN_LIMIT // 5 + 1
-        with pytest.raises(SearchConfigError):
-            min_dilate_sum(SearchConfig(spec, 3, r))
+        with pytest.raises(SearchConfigError, match="weight\\*range"):
+            SearchConfig(spec, 3, r)
+        # a singleton family needs no masks
+        assert min_dilate_sum(SearchConfig(spec, 1, r)).minimum == 1
 
     def test_mask_width_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(backend, "BITSET_SPAN_LIMIT", 5 * 12)
         spec = DilateSpec((2, 3))
         assert min_dilate_sum(SearchConfig(spec, 3, 12)).minimum == 8
         with pytest.raises(SearchConfigError):
-            min_dilate_sum(SearchConfig(spec, 3, 13))
+            SearchConfig(spec, 3, 13)
 
     def test_pruning_actually_prunes(self):
         # on this range the lookahead first cuts at n = 5
@@ -282,6 +280,12 @@ class TestMinDilateSum:
             SearchConfig(DilateSpec((2, 3)), 4, 2)
         with pytest.raises(SearchConfigError):
             SearchConfig(DilateSpec((2, 3)), 2, 5, witness_cap=0)
+        with pytest.raises(TypeError):
+            SearchConfig(DilateSpec((2, 3)), 3.0, 12)
+        with pytest.raises(TypeError):
+            SearchConfig(DilateSpec((2, 3)), 3, 12.0)
+        with pytest.raises(TypeError):
+            SearchConfig(DilateSpec((2, 3)), 3, 12, witness_cap=1.5)
 
     def test_result_payload_round_trip(self):
         result = min_dilate_sum(SearchConfig(DilateSpec((2, 3)), 3, 12))
@@ -355,6 +359,8 @@ class TestConjectureProbe:
             (range(1, 10**8, 9), 26, "range_max 26 cannot hold 28 elements"),
             (range(2, 10**8, 9), 26, "range_max 26 cannot hold 29 elements"),
             (range(-5, 10**8), 26, "cardinality must be >= 1, got -5"),
+            # any other input takes the same edges-first path
+            (list(range(2, 41)), 26, "range_max 26 cannot hold 28 elements"),
         ],
     )
     def test_refuses_before_any_search(self, monkeypatch, cardinalities, range_max, message):
@@ -375,3 +381,11 @@ class TestConjectureProbe:
         with pytest.raises(SearchConfigError, match=message):
             conjecture_probe(DilateSpec((2, 3)), cardinalities, range_max)
         assert len(built) <= 3
+
+    def test_non_integer_cardinality_refused_before_any_search(self, monkeypatch):
+        def no_search(config):
+            raise AssertionError("a search ran before the refusal")
+
+        monkeypatch.setattr(search, "min_dilate_sum", no_search)
+        with pytest.raises(TypeError):
+            conjecture_probe((2, 3), [2.0, 3], 12)
