@@ -41,10 +41,6 @@ def backend_name():
     return "pure"
 
 
-def available_backends():
-    return ("pure",)
-
-
 def use_backend(name):
     """Select a backend by name; only "pure" exists. Returns the prior name."""
     if name == "compiled":

@@ -242,23 +242,21 @@ def _bound_full_semifull(a, m, size):
     )
 
 
-def bound_marginal_total(a: IntSet, k: int, relax_modulus: bool = False) -> BoundReport:
+def bound_marginal_total(a: IntSet, k: int) -> BoundReport:
     """Total marginal mass over the modulus-k components versus (c-1)c.
 
-    ``relax_modulus`` lets any modulus k >= 2 through for experiments;
-    the mass is still computed, but unless k is an odd prime the verdict
-    is not-applicable. The default raises for such a k.
+    The mass is computed for any integer modulus k >= 2 (a non-integer k
+    or k < 2 raises InvalidModulusError). The statement needs an odd
+    prime k, so for any other k the verdict is not-applicable and
+    ``detail["relaxed"]`` is true.
     """
-    _require_odd_prime(k, relax=relax_modulus)
     d = decompose(a, k)
-    total = sum(
-        len(marginal_set(c, a, k, relax_modulus=relax_modulus)) for c in d
-    )
+    total = sum(len(marginal_set(c, a, k)) for c in d)
     c = d.component_count
-    hypotheses = {"odd_prime_k": is_odd_prime(k)}
+    odd_prime = is_odd_prime(k)
     return _report(
-        "marginal_total_bound", GE, total, (c - 1) * c, hypotheses,
-        detail={"component_count": c, "relaxed": relax_modulus},
+        "marginal_total_bound", GE, total, (c - 1) * c, {"odd_prime_k": odd_prime},
+        detail={"component_count": c, "relaxed": not odd_prime},
     )
 
 
@@ -398,6 +396,13 @@ def ap_exact_size(n: int, k: int, verify: bool = False) -> int:
     return formula
 
 
+def _cardinality(n):
+    n = operator.index(n)
+    if n < 1:
+        raise ValueError(f"cardinality must be >= 1, got {n}")
+    return n
+
+
 def ap_size(n: int, k: int) -> int:
     """Exact |2*P + k*P| for the length-n progression P = {0..n-1}.
 
@@ -409,9 +414,7 @@ def ap_size(n: int, k: int) -> int:
     one in both ranges. A non-integer n raises TypeError.
     """
     _require_odd_prime(k)
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"cardinality must be >= 1, got {n}")
+    n = _cardinality(n)
     if n == 1:
         return 1
     return min(n * n, (k + 2) * n - 2 * k)
@@ -425,9 +428,10 @@ def ap_recompute(n: int, k: int) -> int:
     allocated, with the backend's own error: ArithmeticRangeError when the
     int64 envelope (|k|+2)(n-1) is exceeded, else MergeLimitError when the
     span is above BITSET_SPAN_LIMIT and the n x n merge above
-    MERGE_PAIR_LIMIT.
+    MERGE_PAIR_LIMIT. A non-integer n raises TypeError and n < 1
+    ValueError.
     """
-    return dilate_sum_size(IntSet._wrap(range(n)), (2, k))
+    return dilate_sum_size(IntSet._wrap(range(_cardinality(n))), (2, k))
 
 
 def deficiency(a: IntSet, spec) -> int:

@@ -35,10 +35,7 @@ def _require_modulus(n):
         raise InvalidModulusError(f"modulus must be an integer >= 2, got {n!r}")
 
 
-def _require_odd_prime(k, relax=False):
-    if relax:
-        _require_modulus(k)
-        return
+def _require_odd_prime(k):
     if not isinstance(k, int) or not is_odd_prime(k):
         raise InvalidModulusError(f"k must be an odd prime, got {k!r}")
 
@@ -94,8 +91,8 @@ def is_semi_full(a: IntSet, n: int) -> bool:
     return all(component_count(c, n * n) == n for c in decompose(a, n))
 
 
-def _checked_component(c: IntSet, a: IntSet, k: int, relax_modulus: bool):
-    _require_odd_prime(k, relax=relax_modulus)
+def _checked_component(c: IntSet, a: IntSet, k: int):
+    _require_modulus(k)
     r = c.min % k
     if tuple(x for x in a if x % k == r) != c.elements:
         raise InvalidComponentError(
@@ -108,11 +105,13 @@ def _checked_component(c: IntSet, a: IntSet, k: int, relax_modulus: bool):
 MARGINAL_BITS_PER_ELEMENT = 16 * 64
 
 
-def marginal_set(c: IntSet, a: IntSet, k: int, relax_modulus: bool = False):
+def marginal_set(c: IntSet, a: IntSet, k: int):
     """Elements of 2*c + k*a that 2*c + k*c does not reach.
 
     ``c`` must be exactly one modulus-k component of ``a``; anything else
     raises InvalidComponentError. Returns a sorted, possibly empty tuple.
+    Any integer modulus k >= 2 works, since nothing below needs k prime;
+    a non-integer k or k < 2 raises InvalidModulusError.
 
     Every element of ``c`` is r + k*q for its residue r, so
     2*c + k*x = 2r + k*(2q + x): 2C+kA = 2r + k*(2Q+A) and
@@ -137,7 +136,7 @@ def marginal_set(c: IntSet, a: IntSet, k: int, relax_modulus: bool = False):
     routes give the same tuple and raise the same ArithmeticRangeError on
     the same inputs.
     """
-    _checked_component(c, a, k, relax_modulus)
+    _checked_component(c, a, k)
     q_span = (c.max - c.min) // k
     if 2 * q_span + a.span > MARGINAL_BITS_PER_ELEMENT * len(a):
         big = minkowski_sum(dilate(c, 2), dilate(a, k))
@@ -176,9 +175,9 @@ class MarginalSplit:
         return tuple(sorted(self.low + self.interior + self.high))
 
 
-def marginal_split(c: IntSet, a: IntSet, k: int, relax_modulus: bool = False) -> MarginalSplit:
+def marginal_split(c: IntSet, a: IntSet, k: int) -> MarginalSplit:
     """Three-way split of marginal_set(c, a, k) around 2*c + k*c."""
-    marginal = marginal_set(c, a, k, relax_modulus=relax_modulus)
+    marginal = marginal_set(c, a, k)
     # 2*c + k*c runs from (k+2)*min(c) to (k+2)*max(c); marginal_set has
     # range-checked sums beyond both ends, so no merge is needed.
     lo, hi = (k + 2) * c.min, (k + 2) * c.max

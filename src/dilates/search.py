@@ -276,14 +276,12 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
     module docstring for why. The config was checked when it was built, so
     the search itself refuses nothing.
     """
-    coeffs = config.spec.coefficients
     n = config.cardinality
     if n == 1:
-        singleton = IntSet._wrap((0,))
-        minimum = backend.fold_size(tuple((c, (0,)) for c in coeffs))
+        # Every dilate of {0} is {0}, so the only set has one sum.
         return SearchResult(
-            minimum=minimum,
-            witnesses=[singleton],
+            minimum=1,
+            witnesses=[IntSet._wrap((0,))],
             total_witnesses=1,
             nodes_visited=1,
             nodes_pruned=0,
@@ -291,6 +289,7 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
 
     # Progression upper bound; a member of every family, so pruning
     # against it can only discard values that exceed the true minimum.
+    coeffs = config.spec.coefficients
     seed = backend.fold_size(tuple((c, tuple(range(n))) for c in coeffs))
     best, witnesses, visited, pruned = _walk(
         config, seed, _mask_plan(coeffs, config.range_max), _growth(coeffs)
@@ -306,7 +305,7 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
     )
 
 
-def _probe_configs(spec, cardinalities, range_max, **config_options):
+def _probe_configs(spec, cardinalities, range_max):
     """One SearchConfig per distinct cardinality, ascending.
 
     Every config is built, and so checked, before any search runs.
@@ -327,9 +326,7 @@ def _probe_configs(spec, cardinalities, range_max, **config_options):
         ordered = sorted(set(cardinalities))
 
     def build(n):
-        return SearchConfig(
-            spec=spec, cardinality=n, range_max=range_max, **config_options
-        )
+        return SearchConfig(spec=spec, cardinality=n, range_max=range_max)
 
     edges = {0, bisect_left(ordered, 2), bisect_left(ordered, range_max + 2)}
     for i in sorted(edges):
@@ -349,7 +346,7 @@ class ProbeRow:
     total_witnesses: int
 
 
-def conjecture_probe(spec, cardinalities, range_max: int, **config_options):
+def conjecture_probe(spec, cardinalities, range_max: int):
     """Minimum and first-order deficiency for each requested cardinality.
 
     The deficiency is (sum of |m|)*n - minimum, the gap to the mass bound
@@ -358,11 +355,13 @@ def conjecture_probe(spec, cardinalities, range_max: int, **config_options):
     Minima are minima over [0, range_max]; no claim is made that the
     range captures the global minimum. Every cardinality's config is built,
     and so checked, before the first search, edges first, so a refused
-    one costs no search time and a huge range is refused at once.
+    one costs no search time and a huge range is refused at once. A row
+    does not depend on pruning or witness_cap, so every search runs with
+    SearchConfig's defaults.
     """
     spec = _coerce_spec(spec)
     rows = []
-    for config in _probe_configs(spec, cardinalities, range_max, **config_options):
+    for config in _probe_configs(spec, cardinalities, range_max):
         result = min_dilate_sum(config)
         n = config.cardinality
         rows.append(

@@ -12,7 +12,6 @@ from bruteforce import naive_fold, naive_sumset
 
 def test_use_backend_round_trip():
     assert backend.backend_name() == "pure"
-    assert backend.available_backends() == ("pure",)
     assert use_backend("pure") == "pure"
     with pytest.raises(RuntimeError):
         use_backend("compiled")

@@ -136,15 +136,20 @@ class TestMarginalTotalBound:
         assert (rep.lhs, rep.rhs, rep.verdict) == (0, 0, "holds")
 
     def test_modulus_validation_and_relaxation(self):
-        with pytest.raises(InvalidModulusError):
-            bound_marginal_total(IntSet([0, 1]), 9)
-        rep = bound_marginal_total(IntSet([0, 1, 2]), 9, relax_modulus=True)
+        # Any integer modulus >= 2 is accepted; the odd-prime rule comes from k.
+        for k in (1, 0, 2.5):
+            with pytest.raises(InvalidModulusError):
+                bound_marginal_total(IntSet([0, 1]), k)
+        rep = bound_marginal_total(IntSet([0, 1, 2]), 9)
         assert rep.detail["relaxed"]
         assert not rep.hypotheses["odd_prime_k"]
+        assert not bound_marginal_total(IntSet([0, 1, 2]), 3).detail["relaxed"]
+        with pytest.raises(TypeError):
+            bound_marginal_total(IntSet([0, 1, 2]), 9, relax_modulus=True)
 
     def test_relaxed_composite_k_not_applicable(self):
         # The mass is still computed, but k = 9 is outside the hypothesis.
-        rep = bound_marginal_total(IntSet([0, 1, 2]), 9, relax_modulus=True)
+        rep = bound_marginal_total(IntSet([0, 1, 2]), 9)
         assert rep.verdict == "not-applicable"
         assert (rep.lhs, rep.rhs, rep.slack) == (6, 6, 0)
 
@@ -335,6 +340,11 @@ class TestApExactSize:
             ap_exact_size(4.0, 3)
         with pytest.raises(ValueError):
             ap_exact_size(0, 3)
+        for n in (0, -2):
+            with pytest.raises(ValueError, match=f"cardinality must be >= 1, got {n}"):
+                ap_recompute(n, 3)
+        with pytest.raises(TypeError):
+            ap_recompute(4.0, 3)
 
 
 class TestApSize:

@@ -104,13 +104,20 @@ class TestMarginalSet:
             marginal_set(IntSet([3]), a, 3)
 
     def test_requires_odd_prime(self):
+        # Any integer modulus >= 2 is accepted: the identity behind
+        # marginal_set does not need k prime.
         a = IntSet([0, 1, 2, 3])
-        with pytest.raises(InvalidModulusError):
-            marginal_set(IntSet([0]), a, 4)
-        # relaxation flag admits any modulus >= 2
-        assert marginal_set(IntSet([0]), a, 4, relax_modulus=True) == (
-            tuple(sorted(set(naive_marginal([0], [0, 1, 2, 3], 4))))
+        for k in (1, 0, 2.5):
+            with pytest.raises(InvalidModulusError):
+                marginal_set(IntSet([0]), a, k)
+            with pytest.raises(InvalidModulusError):
+                marginal_split(IntSet([0]), a, k)
+        assert list(marginal_set(IntSet([0]), a, 4)) == naive_marginal(
+            [0], [0, 1, 2, 3], 4
         )
+        for fn in (marginal_set, marginal_split):
+            with pytest.raises(TypeError):
+                fn(IntSet([0]), a, 4, relax_modulus=True)
 
     def test_union_and_disjointness_exhaustive(self):
         for a in enumerate_canonical(3, 9, reflection_quotient=False):
@@ -129,11 +136,11 @@ class TestMarginalSet:
         for _ in range(40):
             elems = sorted(rng.sample(range(0, 40), rng.randint(2, 8)))
             a = IntSet(elems)
-            k = rng.choice([3, 5, 7])
-            for c in decompose(a, k):
-                assert list(marginal_set(c, a, k)) == naive_marginal(
-                    c.elements, elems, k
-                )
+            for k in (2, 3, 4, 5, 7, 9):
+                for c in decompose(a, k):
+                    expected = naive_marginal(c.elements, elems, k)
+                    assert list(marginal_set(c, a, k)) == expected
+                    assert list(marginal_split(c, a, k).merged) == expected
 
 
 def _set_with_reduced_span(rng, k, target, size):
@@ -172,7 +179,7 @@ class TestMarginalRoutes:
 
     @staticmethod
     def _assert_oracle(c, a, k):
-        got = marginal_set(c, a, k, relax_modulus=not is_odd_prime(k))
+        got = marginal_set(c, a, k)
         assert list(got) == naive_marginal(c.elements, a.elements, k)
 
     def test_word_boundary_spans(self, monkeypatch):

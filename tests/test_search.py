@@ -342,6 +342,10 @@ class TestConjectureProbe:
         with pytest.raises(SearchConfigError):
             conjecture_probe(DilateSpec((2, 4)), [2], 8)
 
+    def test_takes_no_search_options(self):
+        with pytest.raises(TypeError):
+            conjecture_probe(DilateSpec((2, 3)), [2], 8, pruning=False)
+
     def test_cardinality_fits_range(self):
         with pytest.raises(SearchConfigError):
             conjecture_probe(DilateSpec((2, 3)), [7], 5)
