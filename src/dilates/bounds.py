@@ -42,7 +42,6 @@ from .errors import (
     HypothesisError,
     InvalidCoefficientError,
     InvalidModulusError,
-    VerificationError,
 )
 from .intset import IntSet, canonicalize, dilate_sum_size, _coerce_spec
 
@@ -92,21 +91,6 @@ class BoundReport:
             "hypotheses": dict(self.hypotheses),
             "detail": dict(self.detail),
         }
-
-    @classmethod
-    def from_record(cls, record: dict) -> "BoundReport":
-        met = record["hypotheses_met"]
-        return cls(
-            statement_id=record["statement_id"],
-            hypotheses_met=met,
-            lhs=record["lhs"],
-            rhs=record["rhs"],
-            slack=record["slack"],
-            holds=None if not met else record["verdict"] == "holds",
-            relation=record["relation"],
-            hypotheses=dict(record["hypotheses"]),
-            detail=dict(record["detail"]),
-        )
 
 
 def _compare(lhs, rhs, relation):
@@ -372,35 +356,24 @@ def _bound_main_large(a, k, size):
     return strict, general
 
 
-def ap_exact_size(n: int, k: int, verify: bool = False) -> int:
-    """Closed-form |2*P + k*P| for the length-n progression P = {0..n-1}.
-
-    Returns (k+2)n - 2k for n >= 2 and 1 for a singleton. With
-    ``verify=True`` the size is also recomputed exactly; a mismatch
-    raises VerificationError. The closed form is genuinely exact only
-    once n >= k (and trivially at n = 2); verification is what detects
-    the shortfall below that. A non-integer n raises TypeError.
-    """
-    _require_odd_prime(k)
-    n = operator.index(n)
-    if n < 1:
-        raise ValueError(f"cardinality must be >= 1, got {n}")
-    formula = 1 if n == 1 else (k + 2) * n - 2 * k
-    if verify:
-        actual = ap_recompute(n, k)
-        if actual != formula:
-            raise VerificationError(
-                f"progression size mismatch for n={n}, k={k}: "
-                f"closed form {formula}, recomputed {actual}"
-            )
-    return formula
-
-
 def _cardinality(n):
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"cardinality must be >= 1, got {n}")
     return n
+
+
+def ap_exact_size(n: int, k: int) -> int:
+    """Closed-form |2*P + k*P| for the length-n progression P = {0..n-1}.
+
+    Returns (k+2)n - 2k for n >= 2 and 1 for a singleton. The closed form
+    is genuinely exact only once n >= k (and trivially at n = 2); ap_size
+    gives the exact value for every n, and ap_recompute counts the sums
+    directly. A non-integer n raises TypeError and n < 1 ValueError.
+    """
+    _require_odd_prime(k)
+    n = _cardinality(n)
+    return 1 if n == 1 else (k + 2) * n - 2 * k
 
 
 def ap_size(n: int, k: int) -> int:

@@ -10,6 +10,7 @@ Residues are always normalized to [0, n), including for negative
 elements, so decompositions never disagree about class labels.
 """
 
+import operator
 from dataclasses import dataclass
 
 from . import backend
@@ -19,8 +20,11 @@ from .backend import INT64_MAX, check_int64
 
 
 def is_odd_prime(k) -> bool:
-    """Trial-division primality, restricted to odd primes (so 2 fails)."""
-    if k < 3 or k % 2 == 0:
+    """Trial-division primality, restricted to odd primes (so 2 fails).
+
+    Anything that is not an int, such as 7.0, is not an odd prime.
+    """
+    if not isinstance(k, int) or k < 3 or k % 2 == 0:
         return False
     d = 3
     while d * d <= k:
@@ -36,7 +40,7 @@ def _require_modulus(n):
 
 
 def _require_odd_prime(k):
-    if not isinstance(k, int) or not is_odd_prime(k):
+    if not is_odd_prime(k):
         raise InvalidModulusError(f"k must be an odd prime, got {k!r}")
 
 
@@ -50,12 +54,6 @@ class Decomposition:
     @property
     def component_count(self):
         return len(self.blocks)
-
-    def residues(self):
-        return tuple(self.blocks)
-
-    def block(self, residue) -> IntSet:
-        return self.blocks[residue]
 
     def __iter__(self):
         return iter(self.blocks.values())
@@ -191,10 +189,11 @@ def stabilizer(x, m: int):
     """Translations g of Z/mZ with g + X = X, as a sorted residue tuple.
 
     Always contains 0 and is a subgroup, so its size divides both |X|
-    and m.
+    and m. Residues are coerced with ``operator.index``, so a float
+    raises TypeError.
     """
     _require_modulus(m)
-    xs = frozenset(x)
+    xs = frozenset(map(operator.index, x))
     if not xs:
         raise ValueError("stabilizer needs a nonempty residue set")
     for e in xs:

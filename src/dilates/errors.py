@@ -29,9 +29,5 @@ class HypothesisError(DilatesError):
     """An arithmetic hypothesis (for example gcd(|Z|) = 1) does not hold."""
 
 
-class VerificationError(DilatesError):
-    """A value recomputed from scratch disagrees with its closed form."""
-
-
 class SearchConfigError(DilatesError):
-    """An enumeration or search parameter set is inconsistent."""
+    """A search parameter set is inconsistent."""

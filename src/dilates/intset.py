@@ -96,12 +96,17 @@ class IntSet:
 
 @dataclass(frozen=True)
 class AffineMap:
-    """The map x -> scale*x + shift with a positive integer scale."""
+    """The map x -> scale*x + shift with a positive integer scale.
+
+    Both are coerced with ``operator.index``, so a float raises TypeError.
+    """
 
     shift: int
     scale: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "shift", operator.index(self.shift))
+        object.__setattr__(self, "scale", operator.index(self.scale))
         if self.scale < 1:
             raise ValueError(f"scale must be >= 1, got {self.scale}")
 

@@ -57,7 +57,6 @@ starts never needs a check of its own.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from bisect import bisect_left
@@ -87,7 +86,12 @@ class SearchConfig:
         object.__setattr__(self, "spec", _coerce_spec(self.spec))
         for name in ("cardinality", "range_max", "witness_cap"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
-        _check_family(self.cardinality, self.range_max)
+        if self.cardinality < 1:
+            raise SearchConfigError(f"cardinality must be >= 1, got {self.cardinality}")
+        if self.range_max < self.cardinality - 1:
+            raise SearchConfigError(
+                f"range_max {self.range_max} cannot hold {self.cardinality} elements"
+            )
         if self.witness_cap < 1:
             raise SearchConfigError(f"witness_cap must be >= 1, got {self.witness_cap}")
         width = self.spec.weight * self.range_max
@@ -126,45 +130,10 @@ class SearchResult:
             "nodes_pruned": self.nodes_pruned,
         }
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SearchResult":
-        return cls(
-            minimum=payload["minimum"],
-            witnesses=[IntSet(w) for w in payload["witnesses"]],
-            total_witnesses=payload["total_witnesses"],
-            nodes_visited=payload["nodes_visited"],
-            nodes_pruned=payload["nodes_pruned"],
-        )
-
 
 def _reflection_kept(elems):
     mx = elems[-1]
     return elems <= tuple(mx - x for x in reversed(elems))
-
-
-def _check_family(cardinality, range_max):
-    if cardinality < 1:
-        raise SearchConfigError(f"cardinality must be >= 1, got {cardinality}")
-    if range_max < cardinality - 1:
-        raise SearchConfigError(
-            f"range_max {range_max} cannot hold {cardinality} elements"
-        )
-
-
-def enumerate_canonical(cardinality: int, range_max: int, reflection_quotient: bool = True):
-    """Iterator over the canonical sets of the family, in ascending lexicographic order.
-
-    The arguments are checked at the call, before any iteration.
-    """
-    _check_family(cardinality, range_max)
-    if cardinality == 1:
-        return iter([IntSet._wrap((0,))])
-    return (
-        IntSet._wrap((0, *rest))
-        for rest in itertools.combinations(range(1, range_max + 1), cardinality - 1)
-        if math.gcd(*rest) == 1
-        and (not reflection_quotient or _reflection_kept((0, *rest)))
-    )
 
 
 def _mask_plan(coeffs, range_max):

@@ -3,12 +3,10 @@ import pytest
 import dilates.bounds
 from dilates import (
     ArithmeticRangeError,
-    BoundReport,
     HypothesisError,
     IntSet,
     InvalidModulusError,
     MergeLimitError,
-    VerificationError,
     ap_exact_size,
     ap_recompute,
     ap_size,
@@ -22,10 +20,9 @@ from dilates import (
     check_faithful,
     check_suite,
     deficiency,
-    enumerate_canonical,
 )
 
-from bruteforce import naive_dilate_sum, naive_fold
+from bruteforce import naive_canonical_family, naive_dilate_sum, naive_fold
 
 
 class TestAffineInvariance:
@@ -188,6 +185,12 @@ class TestFaithful:
         assert rep.verdict == "not-applicable"
         assert not rep.hypotheses["component_exists"]
 
+    def test_float_k_not_applicable(self):
+        # 7.5 is not an odd prime, so the gate fails before decompose
+        rep = check_faithful(IntSet([0, 1, 2, 4]), 7.5, 0)
+        assert rep.verdict == "not-applicable"
+        assert not rep.hypotheses["odd_prime_k"]
+
     # Complete records of the three ways the checker is not applicable: a
     # failed gate, a missing residue and an ineligible component.
     @pytest.mark.parametrize(
@@ -289,15 +292,13 @@ class TestApExactSize:
 
     def test_verification_detects_shortfall(self):
         # below n = k the true size is smaller than the closed form
-        assert ap_recompute(3, 5) == 9
-        with pytest.raises(VerificationError):
-            ap_exact_size(3, 5, verify=True)
+        assert ap_recompute(3, 5) == 9 < ap_exact_size(3, 5)
 
     def test_verified_in_validity_range(self):
         for k in (3, 5, 7):
-            assert ap_exact_size(2, k, verify=True) == 4
+            assert ap_recompute(2, k) == ap_exact_size(2, k) == 4
             for n in range(k, 3 * k):
-                assert ap_exact_size(n, k, verify=True) == (k + 2) * n - 2 * k
+                assert ap_recompute(n, k) == ap_exact_size(n, k) == (k + 2) * n - 2 * k
 
     def test_recompute_matches_oracle(self):
         for n, k in [(2, 3), (3, 5), (4, 5), (6, 7)]:
@@ -487,16 +488,9 @@ class TestCheckSuite:
         }
 
 
-def test_report_round_trip():
-    rep = bound_four(IntSet([0, 1, 3]), 2, 3)
-    assert BoundReport.from_record(rep.to_record()) == rep
-    na = bound_basic(IntSet([0, 1]), IntSet([0, 1]), 2, 4)
-    assert BoundReport.from_record(na.to_record()) == na
-
-
 def test_small_soundness_sweep():
     """No checker may fail on any canonical set: a fast unit-size sweep."""
     for size in (2, 3, 4):
-        for a in enumerate_canonical(size, 10, reflection_quotient=False):
+        for a in map(IntSet, naive_canonical_family(size, 10, reflect=False)):
             for rep in check_suite(a, 3):
                 assert rep.verdict != "fails", (a, rep)

@@ -10,7 +10,6 @@ import pytest
 import dilates.backend
 import dilates.cli
 import dilates.search
-from dilates import BoundReport
 from dilates.cli import main
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -101,12 +100,6 @@ class TestCheck:
             for r in rows
         ]
         assert from_csv == from_json
-
-    def test_round_trip_records(self, capsys):
-        _, out, _ = run_cli(capsys, "check", "--set", "0,1,2", "--k", "3")
-        for record in payload(out)["results"]["reports"]:
-            rebuilt = BoundReport.from_record(record)
-            assert rebuilt.to_record() == record
 
     def test_byte_identical_payloads(self, capsys):
         _, first, _ = run_cli(capsys, "check", "--set", "0,1,2,5", "--k", "3")

@@ -10,7 +10,6 @@ from dilates import (
     component_count,
     decompose,
     dilate,
-    enumerate_canonical,
     is_full,
     is_odd_prime,
     is_semi_full,
@@ -23,7 +22,7 @@ from dilates import (
 from dilates import backend, components
 from dilates.backend import INT64_MAX
 
-from bruteforce import naive_components, naive_marginal
+from bruteforce import naive_canonical_family, naive_components, naive_marginal
 
 
 def test_is_odd_prime():
@@ -31,6 +30,8 @@ def test_is_odd_prime():
     assert not is_odd_prime(2)
     assert not is_odd_prime(9)
     assert not is_odd_prime(15)
+    assert not is_odd_prime(7.0)
+    assert not is_odd_prime(7.5)
 
 
 class TestDecompose:
@@ -45,8 +46,8 @@ class TestDecompose:
 
     def test_single_class(self):
         d = decompose(IntSet([0, 3, 6]), 3)
-        assert d.residues() == (0,)
-        assert d.block(0).elements == (0, 3, 6)
+        assert tuple(d.blocks) == (0,)
+        assert d.blocks[0].elements == (0, 3, 6)
         assert d.component_count == 1
 
     def test_parity_split(self):
@@ -58,7 +59,7 @@ class TestDecompose:
 
     def test_negative_elements_normalize(self):
         d = decompose(IntSet([-4, -1, 2]), 3)
-        assert d.residues() == (2,)
+        assert tuple(d.blocks) == (2,)
 
     def test_invalid_modulus(self):
         with pytest.raises(InvalidModulusError):
@@ -120,7 +121,7 @@ class TestMarginalSet:
                 fn(IntSet([0]), a, 4, relax_modulus=True)
 
     def test_union_and_disjointness_exhaustive(self):
-        for a in enumerate_canonical(3, 9, reflection_quotient=False):
+        for a in map(IntSet, naive_canonical_family(3, 9, reflect=False)):
             for k in (3, 5):
                 inner_union = set()
                 for c in decompose(a, k):
@@ -156,7 +157,7 @@ def _set_with_reduced_span(rng, k, target, size):
             continue
         shift = rng.choice([0, -top, -top // 2, rng.randint(-10**6, 10**6)])
         a = IntSet(x + shift for x in base + [top])
-        return a, decompose(a, k).block((c.min + shift) % k)
+        return a, decompose(a, k).blocks[(c.min + shift) % k]
 
 
 def _reduced_span(c, a, k):
@@ -299,7 +300,7 @@ class TestMarginalSplit:
 def test_component_pieces_disjoint_modulo():
     """n*C + m*B and n*T + m*B never meet for distinct components C, T."""
     bs = [IntSet([0, 1]), IntSet([0, 2, 7]), IntSet([1, 4, 5, 9])]
-    for a in enumerate_canonical(4, 8, reflection_quotient=False):
+    for a in map(IntSet, naive_canonical_family(4, 8, reflect=False)):
         for n, m in [(2, 3), (3, 4), (2, 5)]:
             blocks = list(decompose(a, m))
             for b in bs:
@@ -325,6 +326,10 @@ class TestStabilizer:
             stabilizer([9], 9)
         with pytest.raises(InvalidModulusError):
             stabilizer([0], 1)
+        with pytest.raises(TypeError):
+            stabilizer([0.5], 2)
+        with pytest.raises(TypeError):
+            stabilizer([0, 3.0], 9)
 
     def test_divisor_property(self):
         rng = random.Random(17)

@@ -204,6 +204,10 @@ class TestCanonicalize:
     def test_affine_map_validates_scale(self):
         with pytest.raises(ValueError):
             AffineMap(shift=0, scale=0)
+        with pytest.raises(TypeError):
+            AffineMap(shift=0.5, scale=1)
+        with pytest.raises(TypeError):
+            AffineMap(shift=0, scale=1.5)
 
 
 @given(small_sets, nonzero, nonzero, nonzero, st.integers(-40, 40))
