@@ -254,8 +254,10 @@ def check_faithful(a: IntSet, k: int, c_residue: int) -> BoundReport:
     as large as C, or C misses a parity class, |M_C| must cover |C| too.
 
     The component hypotheses stay False unless the first three hold, so a
-    bad k never reaches decompose.
+    bad k never reaches decompose. A non-integer c_residue raises
+    TypeError, and a bool counts as 0 or 1.
     """
+    c_residue = operator.index(c_residue)
     gates = {
         "odd_prime_k": is_odd_prime(k),
         "zero_in_set": 0 in a,
@@ -404,7 +406,8 @@ def ap_recompute(n: int, k: int) -> int:
     MERGE_PAIR_LIMIT. A non-integer n raises TypeError and n < 1
     ValueError.
     """
-    return dilate_sum_size(IntSet._wrap(range(_cardinality(n))), (2, k))
+    p = range(_cardinality(n))
+    return fold_size(tuple((m, p) for m in _coerce_spec((2, k))))
 
 
 def deficiency(a: IntSet, spec) -> int:

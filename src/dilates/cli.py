@@ -27,11 +27,8 @@ class _UsageError(Exception):
 
 
 def _parse_ints(text, flag):
-    parts = [p.strip() for p in text.split(",")]
-    if not parts or any(p == "" for p in parts):
-        raise _UsageError(f"{flag} expects comma-separated integers, got {text!r}")
     try:
-        return [int(p) for p in parts]
+        return [int(p) for p in text.split(",")]
     except ValueError:
         raise _UsageError(f"{flag} expects comma-separated integers, got {text!r}")
 
@@ -114,7 +111,6 @@ def _cmd_search(args):
         cardinality=args.n,
         range_max=args.range,
         reflection_quotient=not args.no_reflect,
-        pruning=not args.no_prune,
     )
     if args.threads < 1:
         raise _UsageError(f"--threads must be >= 1, got {args.threads}")
@@ -128,7 +124,6 @@ def _cmd_search(args):
                 "coeffs": list(config.spec.coefficients),
                 "n": args.n,
                 "range": args.range,
-                "pruning": config.pruning,
                 "reflection_quotient": config.reflection_quotient,
                 "threads": args.threads,
             },
@@ -231,7 +226,6 @@ def _build_parser():
     p.add_argument("--coeffs", required=True)
     p.add_argument("--n", required=True, type=int, help="cardinality")
     p.add_argument("--range", required=True, type=int, help="elements drawn from [0, range]")
-    p.add_argument("--no-prune", action="store_true")
     p.add_argument("--no-reflect", action="store_true")
     p.add_argument(
         "--threads", type=int, default=1,

@@ -47,8 +47,7 @@ class IntSet:
 
     @classmethod
     def _wrap(cls, sorted_elements):
-        """Trusted constructor for already sorted, unique, in-range tuples,
-        or a nonempty ascending range such as ap_recompute passes."""
+        """Trusted constructor for already sorted, unique, in-range tuples."""
         s = cls.__new__(cls)
         s._elements = sorted_elements
         return s

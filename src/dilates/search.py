@@ -66,10 +66,13 @@ from . import backend
 from .errors import SearchConfigError
 from .intset import DilateSpec, IntSet, _coerce_spec
 
+# A result lists at most this many witnesses; total_witnesses stays exact.
+WITNESS_CAP = 64
+
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Parameters for one exhaustive minimization run, checked when built.
+    """The canonical family of one exhaustive minimization, checked when built.
 
     The integers are coerced with ``operator.index``; from cardinality 2
     on, weight*range_max mask bits must fit backend.BITSET_SPAN_LIMIT.
@@ -79,12 +82,10 @@ class SearchConfig:
     cardinality: int
     range_max: int
     reflection_quotient: bool = True
-    pruning: bool = True
-    witness_cap: int = 64
 
     def __post_init__(self):
         object.__setattr__(self, "spec", _coerce_spec(self.spec))
-        for name in ("cardinality", "range_max", "witness_cap"):
+        for name in ("cardinality", "range_max"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.cardinality < 1:
             raise SearchConfigError(f"cardinality must be >= 1, got {self.cardinality}")
@@ -92,8 +93,6 @@ class SearchConfig:
             raise SearchConfigError(
                 f"range_max {self.range_max} cannot hold {self.cardinality} elements"
             )
-        if self.witness_cap < 1:
-            raise SearchConfigError(f"witness_cap must be >= 1, got {self.witness_cap}")
         width = self.spec.weight * self.range_max
         if self.cardinality > 1 and width > backend.BITSET_SPAN_LIMIT:
             raise SearchConfigError(
@@ -106,13 +105,12 @@ class SearchConfig:
 class SearchResult:
     """Exact minimum with extremal witnesses and traversal counters.
 
-    ``witnesses`` is lexicographically sorted and capped at the config's
-    witness_cap; ``total_witnesses`` is always the exact count.
-    ``nodes_visited`` counts prefixes whose dilate-sum value was computed
-    (all leaves, plus internal nodes when pruning is on); ``nodes_pruned``
-    counts cut subtrees: internal nodes whose value plus inc times the
-    elements still to add exceeds the running incumbent (see the module
-    docstring).
+    ``witnesses`` is lexicographically sorted and holds the first
+    WITNESS_CAP witnesses; ``total_witnesses`` is always the exact count.
+    ``nodes_visited`` counts prefixes whose dilate-sum value was computed,
+    leaves and internal nodes alike; ``nodes_pruned`` counts cut subtrees:
+    internal nodes whose value plus inc times the elements still to add
+    exceeds the running incumbent (see the module docstring).
     """
 
     minimum: int
@@ -183,7 +181,6 @@ def _walk(config, seed, plan, inc):
     n = config.cardinality
     r_max = config.range_max
     reflect = config.reflection_quotient
-    pruning = config.pruning
     offsets, terms = plan
     full = len(terms) - 1
     full_terms = terms[full]
@@ -192,7 +189,7 @@ def _walk(config, seed, plan, inc):
     visited = 0
     pruned = 0
 
-    def expand(prefix, g, masks, nxts):
+    def expand(prefix, masks, nxts):
         """Visit the children prefix + (x,) for x in nxts, in order."""
         nonlocal best, visited, pruned
         inner = len(prefix) < n - 1
@@ -204,12 +201,12 @@ def _walk(config, seed, plan, inc):
             m = m_full
             for v, c, d in full_terms:
                 m |= masks[v] << (c * x + d)
+            visited += 1
+            value = m.bit_count()
             if inner:
-                if pruning:
-                    visited += 1
-                    if m.bit_count() + lead > best:
-                        pruned += 1
-                        continue
+                if value + lead > best:
+                    pruned += 1
+                    continue
                 # The child survived, so it needs the masks of every subset.
                 child_masks = [1]
                 for u in range(1, full):
@@ -218,14 +215,12 @@ def _walk(config, seed, plan, inc):
                         mu |= masks[v] << (c * x + d)
                     child_masks.append(mu)
                 child_masks.append(m)
-                expand(prefix + (x,), math.gcd(g, x), child_masks, range(x + 1, top + 1))
+                expand(prefix + (x,), child_masks, range(x + 1, top + 1))
                 continue
-            visited += 1
-            value = m.bit_count()
-            if value > best or math.gcd(g, x) != 1:
+            if value > best:
                 continue
             leaf = prefix + (x,)
-            if reflect and not _reflection_kept(leaf):
+            if math.gcd(*leaf) != 1 or (reflect and not _reflection_kept(leaf)):
                 continue
             if value < best:
                 best = value
@@ -234,16 +229,16 @@ def _walk(config, seed, plan, inc):
 
     # The masks of the prefix (0,): its one sum over U sits at D_U.
     root = [1 << d for d in offsets]
-    expand((0,), 0, root, range(1, r_max - n + 3))
+    expand((0,), root, range(1, r_max - n + 3))
     return best, witnesses, visited, pruned
 
 
 def min_dilate_sum(config: SearchConfig) -> SearchResult:
     """Exact minimum of |dilate_sum(A, spec)| over the canonical family.
 
-    Identical minimum and witness list with pruning on or off; see the
-    module docstring for why. The config was checked when it was built, so
-    the search itself refuses nothing.
+    The lookahead cut never changes the minimum or the witness list; see
+    the module docstring for why. The config was checked when it was
+    built, so the search itself refuses nothing.
     """
     n = config.cardinality
     if n == 1:
@@ -267,7 +262,7 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
         raise RuntimeError("canonical family unexpectedly empty")
     return SearchResult(
         minimum=best,
-        witnesses=[IntSet._wrap(w) for w in witnesses[: config.witness_cap]],
+        witnesses=[IntSet._wrap(w) for w in witnesses[:WITNESS_CAP]],
         total_witnesses=len(witnesses),
         nodes_visited=visited,
         nodes_pruned=pruned,
@@ -324,9 +319,8 @@ def conjecture_probe(spec, cardinalities, range_max: int):
     Minima are minima over [0, range_max]; no claim is made that the
     range captures the global minimum. Every cardinality's config is built,
     and so checked, before the first search, edges first, so a refused
-    one costs no search time and a huge range is refused at once. A row
-    does not depend on pruning or witness_cap, so every search runs with
-    SearchConfig's defaults.
+    one costs no search time and a huge range is refused at once. Every
+    search runs with SearchConfig's default reflection quotient.
     """
     spec = _coerce_spec(spec)
     rows = []

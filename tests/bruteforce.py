@@ -58,3 +58,17 @@ def naive_canonical_family(cardinality, range_max, reflect=True):
                 continue
         out.append(elems)
     return out
+
+
+def naive_minimum(coeffs, n, r_max, reflect=True):
+    """Minimum dilate-sum size over the canonical family, with every
+    witness in lexicographic order: the whole family is enumerated."""
+    best = None
+    witnesses = []
+    for elems in naive_canonical_family(n, r_max, reflect=reflect):
+        size = len(naive_dilate_sum(elems, coeffs))
+        if best is None or size < best:
+            best, witnesses = size, [elems]
+        elif size == best:
+            witnesses.append(elems)
+    return best, witnesses

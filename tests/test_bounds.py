@@ -5,6 +5,7 @@ from dilates import (
     ArithmeticRangeError,
     HypothesisError,
     IntSet,
+    InvalidCoefficientError,
     InvalidModulusError,
     MergeLimitError,
     ap_exact_size,
@@ -43,6 +44,11 @@ class TestAffineInvariance:
     def test_equal_coefficients_allowed(self):
         rep = check_affine_invariance(IntSet([0, 2, 5]), 3, 3, -2, 11)
         assert rep.verdict == "holds"
+
+    @pytest.mark.parametrize("r, s, u", [(0, 3, 1), (2, 0, 1), (2, 3, 0)])
+    def test_zero_coefficient_refused(self, r, s, u):
+        with pytest.raises(InvalidCoefficientError, match="must be nonzero"):
+            check_affine_invariance(IntSet([0, 1, 3]), r, s, u, 0)
 
 
 class TestBasicBound:
@@ -190,6 +196,15 @@ class TestFaithful:
         rep = check_faithful(IntSet([0, 1, 2, 4]), 7.5, 0)
         assert rep.verdict == "not-applicable"
         assert not rep.hypotheses["odd_prime_k"]
+
+    def test_float_residue_refused(self):
+        with pytest.raises(TypeError):
+            check_faithful(IntSet([0, 1, 2]), 3, 0.0)
+
+    def test_bool_residue_recorded_as_int(self):
+        record = check_faithful(IntSet([0, 1, 2]), 3, True).to_record()
+        assert record["detail"]["residue"] == 1
+        assert type(record["detail"]["residue"]) is int
 
     # Complete records of the three ways the checker is not applicable: a
     # failed gate, a missing residue and an ineligible component.

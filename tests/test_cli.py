@@ -40,9 +40,11 @@ class TestSum:
         assert "--set" in err
 
     def test_bad_integers(self, capsys):
-        code, _, err = run_cli(capsys, "sum", "--set", "0,x", "--coeffs", "2,3")
-        assert code == 2
-        assert "--set" in err
+        for text in ("0,x", "1,x", "1,,2", "1,"):
+            code, out, err = run_cli(capsys, "sum", "--set", text, "--coeffs", "2,3")
+            assert code == 2
+            assert out == ""
+            assert "--set expects comma-separated integers" in err
 
     def test_zero_coefficient(self, capsys):
         code, _, err = run_cli(capsys, "sum", "--set", "0,1", "--coeffs", "0,3")
@@ -113,7 +115,11 @@ class TestSearch:
             capsys, "search", "--coeffs", "2,3", "--n", "3", "--range", "12"
         )
         assert code == 0
-        results = payload(out)["results"]
+        data = payload(out)
+        assert list(data["params"]) == [
+            "coeffs", "n", "range", "reflection_quotient", "threads",
+        ]
+        results = data["results"]
         assert results["minimum"] == 8
         assert results["witnesses"][0] == [0, 1, 3]
         assert results["caveats"] == []
@@ -128,16 +134,24 @@ class TestSearch:
             "3",
             "--range",
             "12",
-            "--no-prune",
             "--no-reflect",
             "--threads",
             "2",
         )
         assert code == 0
         data = payload(out)
-        assert data["params"]["pruning"] is False
         assert data["params"]["reflection_quotient"] is False
+        assert data["params"]["threads"] == 2
         assert data["results"]["minimum"] == 8
+
+    def test_removed_flag_refused(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "search", "--coeffs", "2,3", "--n", "3", "--range", "12", "--no-prune",
+        )
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
 
     def test_range_touch_caveat(self, capsys):
         # the only canonical pair is {0,1}, which touches range_max=1

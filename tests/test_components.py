@@ -88,6 +88,10 @@ class TestFullness:
         assert not is_semi_full(IntSet([0, 1, 2]), 3)
         assert not is_semi_full(IntSet([0, 9, 18]), 3)
 
+    def test_is_semi_full_refuses_overflowing_square(self):
+        with pytest.raises(ArithmeticRangeError, match="overflows"):
+            is_semi_full(IntSet([0]), 2**32)
+
 
 class TestMarginalSet:
     def test_examples(self):

@@ -14,21 +14,9 @@ from dilates import (
     min_dilate_sum,
 )
 from dilates import backend, search
+from dilates.search import WITNESS_CAP
 
-from bruteforce import naive_canonical_family, naive_dilate_sum
-
-
-def brute_minimum(coeffs, n, r_max, reflect=True):
-    """Reference minimizer: enumerate the whole family, no search code."""
-    best = None
-    witnesses = []
-    for elems in naive_canonical_family(n, r_max, reflect=reflect):
-        size = len(naive_dilate_sum(elems, coeffs))
-        if best is None or size < best:
-            best, witnesses = size, [elems]
-        elif size == best:
-            witnesses.append(elems)
-    return best, witnesses
+from bruteforce import naive_canonical_family, naive_dilate_sum, naive_minimum
 
 
 class TestEnumerateCanonical:
@@ -82,50 +70,38 @@ class TestMinDilateSum:
 
     @pytest.mark.parametrize("coeffs", [(2, 3), (1, 3), (-2, 3)])
     def test_matches_brute_force(self, coeffs):
-        for n, r in [(2, 8), (3, 9), (4, 8)]:
-            expected_min, expected_wits = brute_minimum(coeffs, n, r)
+        for n, r in [(2, 8), (3, 9), (4, 8), (4, 11)]:
+            expected_min, expected_wits = naive_minimum(coeffs, n, r)
             result = min_dilate_sum(SearchConfig(DilateSpec(coeffs), n, r))
             assert result.minimum == expected_min
             assert [w.elements for w in result.witnesses] == expected_wits
             assert result.total_witnesses == len(expected_wits)
-
-    def test_pruning_modes_agree(self):
-        for pruning in (False, True):
-            result = min_dilate_sum(
-                SearchConfig(DilateSpec((2, 3)), 4, 11, pruning=pruning)
-            )
-            assert result.minimum == 12
-            assert IntSet([0, 2, 3, 5]) in result.witnesses
 
     def test_two_runs_identical(self):
         config = SearchConfig(DilateSpec((2, 3)), 4, 12)
         # witnesses and counters included
         assert min_dilate_sum(config) == min_dilate_sum(config)
 
-    # (minimum, total_witnesses, nodes_visited, nodes_pruned), pruned then
-    # unpruned. The unpruned counts were measured before node values were
-    # carried incrementally; the pruned ones against one running incumbent,
-    # with the lookahead cut value + inc*r > incumbent.
+    # (minimum, total_witnesses, nodes_visited, nodes_pruned), measured
+    # against one running incumbent with the lookahead cut
+    # value + inc*r > incumbent.
     @pytest.mark.parametrize(
-        "coeffs, n, r, pruned_counts, unpruned_counts",
+        "coeffs, n, r, counts",
         [
-            ((2, 3), 6, 14, (22, 1, 1364, 640), (22, 1, 2002, 0)),
-            ((-3, 2), 5, 12, (18, 1, 714, 0), (18, 1, 495, 0)),
-            ((2, -3, 5), 5, 12, (39, 1, 255, 158), (39, 1, 495, 0)),
-            ((1, 2, 4), 6, 14, (36, 1, 135, 95), (36, 1, 2002, 0)),
+            ((2, 3), 6, 14, (22, 1, 1364, 640)),
+            ((-3, 2), 5, 12, (18, 1, 714, 0)),
+            ((2, -3, 5), 5, 12, (39, 1, 255, 158)),
+            ((1, 2, 4), 6, 14, (36, 1, 135, 95)),
         ],
     )
-    def test_pinned_counters(self, coeffs, n, r, pruned_counts, unpruned_counts):
-        for pruning, expected in ((True, pruned_counts), (False, unpruned_counts)):
-            result = min_dilate_sum(
-                SearchConfig(DilateSpec(coeffs), n, r, pruning=pruning)
-            )
-            assert (
-                result.minimum,
-                result.total_witnesses,
-                result.nodes_visited,
-                result.nodes_pruned,
-            ) == expected
+    def test_pinned_counters(self, coeffs, n, r, counts):
+        result = min_dilate_sum(SearchConfig(DilateSpec(coeffs), n, r))
+        assert (
+            result.minimum,
+            result.total_witnesses,
+            result.nodes_visited,
+            result.nodes_pruned,
+        ) == counts
 
     # Minima and complete witness lists at sizes the brute-force oracle
     # cannot reach, computed by the search before any lookahead cut, so a
@@ -160,9 +136,7 @@ class TestMinDilateSum:
         ],
     )
     def test_exact_pins_above_oracle_sizes(self, coeffs, n, r, minimum, witnesses):
-        result = min_dilate_sum(
-            SearchConfig(DilateSpec(coeffs), n, r, witness_cap=1000)
-        )
+        result = min_dilate_sum(SearchConfig(DilateSpec(coeffs), n, r))
         assert result.minimum == minimum
         assert [w.elements for w in result.witnesses] == witnesses
         assert result.total_witnesses == len(witnesses)
@@ -174,30 +148,22 @@ class TestMinDilateSum:
         ),
         n=st.integers(1, 5),
         extra=st.integers(0, 9),
-        pruning=st.booleans(),
         reflect=st.booleans(),
     )
     # A mixed-sign case on which shifts that ignore a coefficient's sign
     # give a wrong answer; small random cases often do not show it.
-    @example(coeffs=[1, 5, -5], n=5, extra=1, pruning=False, reflect=False)
+    @example(coeffs=[1, 5, -5], n=5, extra=1, reflect=False)
     # Each appended element adds exactly inc = 2 sums here, so a larger
     # lookahead count, or a cut that is not strict, loses the minimum.
-    @example(coeffs=[1, -1], n=3, extra=0, pruning=True, reflect=False)
-    def test_differential_against_brute_force(self, coeffs, n, extra, pruning, reflect):
+    @example(coeffs=[1, -1], n=3, extra=0, reflect=False)
+    def test_differential_against_brute_force(self, coeffs, n, extra, reflect):
         r = min(n - 1 + extra, 10)
-        expected_min, expected_wits = brute_minimum(coeffs, n, r, reflect=reflect)
+        expected_min, expected_wits = naive_minimum(coeffs, n, r, reflect=reflect)
         result = min_dilate_sum(
-            SearchConfig(
-                DilateSpec(coeffs),
-                n,
-                r,
-                reflection_quotient=reflect,
-                pruning=pruning,
-                witness_cap=len(expected_wits),
-            )
+            SearchConfig(DilateSpec(coeffs), n, r, reflection_quotient=reflect)
         )
         assert result.minimum == expected_min
-        assert [w.elements for w in result.witnesses] == expected_wits
+        assert [w.elements for w in result.witnesses] == expected_wits[:WITNESS_CAP]
         assert result.total_witnesses == len(expected_wits)
 
     def test_mask_width_refused_before_any_task(self):
@@ -217,14 +183,11 @@ class TestMinDilateSum:
 
     def test_pruning_actually_prunes(self):
         # on this range the lookahead first cuts at n = 5
-        pruned = min_dilate_sum(SearchConfig(DilateSpec((2, 3)), 6, 14))
-        unpruned = min_dilate_sum(
-            SearchConfig(DilateSpec((2, 3)), 6, 14, pruning=False)
-        )
-        assert pruned.minimum == unpruned.minimum
-        assert pruned.witnesses == unpruned.witnesses
-        assert pruned.nodes_pruned > 0
-        assert unpruned.nodes_pruned == 0
+        result = min_dilate_sum(SearchConfig(DilateSpec((2, 3)), 6, 14))
+        assert result.nodes_pruned > 0
+        expected_min, expected_wits = naive_minimum((2, 3), 6, 14)
+        assert result.minimum == expected_min
+        assert [w.elements for w in result.witnesses] == expected_wits
 
     def test_reflection_off_adds_mirrors(self):
         with_q = min_dilate_sum(SearchConfig(DilateSpec((2, 3)), 3, 12))
@@ -240,10 +203,13 @@ class TestMinDilateSum:
         )
 
     def test_witness_cap(self):
-        capped = min_dilate_sum(SearchConfig(DilateSpec((2, 3)), 3, 12, witness_cap=1))
-        assert len(capped.witnesses) == 1
-        assert capped.witnesses[0] == IntSet([0, 1, 3])
-        assert capped.total_witnesses == 2
+        # |1*A| = |A|, so each of the 109 canonical 4-sets in [0, 12] is a witness
+        result = min_dilate_sum(SearchConfig(DilateSpec((1,)), 4, 12))
+        expected_min, expected_wits = naive_minimum((1,), 4, 12)
+        assert (result.minimum, result.total_witnesses) == (expected_min, 109)
+        assert len(expected_wits) == 109
+        assert len(result.witnesses) == WITNESS_CAP == 64
+        assert [w.elements for w in result.witnesses] == expected_wits[:WITNESS_CAP]
 
     def test_monotone_in_cardinality(self):
         minima = [
@@ -263,14 +229,10 @@ class TestMinDilateSum:
             SearchConfig(DilateSpec((2, 3)), 0, 5)
         with pytest.raises(SearchConfigError):
             SearchConfig(DilateSpec((2, 3)), 4, 2)
-        with pytest.raises(SearchConfigError):
-            SearchConfig(DilateSpec((2, 3)), 2, 5, witness_cap=0)
         with pytest.raises(TypeError):
             SearchConfig(DilateSpec((2, 3)), 3.0, 12)
         with pytest.raises(TypeError):
             SearchConfig(DilateSpec((2, 3)), 3, 12.0)
-        with pytest.raises(TypeError):
-            SearchConfig(DilateSpec((2, 3)), 3, 12, witness_cap=1.5)
 
 
 class TestLookaheadGrowth:
@@ -325,7 +287,7 @@ class TestConjectureProbe:
 
     def test_takes_no_search_options(self):
         with pytest.raises(TypeError):
-            conjecture_probe(DilateSpec((2, 3)), [2], 8, pruning=False)
+            conjecture_probe(DilateSpec((2, 3)), [2], 8, reflection_quotient=False)
 
     def test_cardinality_fits_range(self):
         with pytest.raises(SearchConfigError):
