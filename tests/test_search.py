@@ -77,6 +77,13 @@ class TestMinDilateSum:
             assert [w.elements for w in result.witnesses] == expected_wits
             assert result.total_witnesses == len(expected_wits)
 
+    def test_pruning_modes_agree(self):
+        # The answer the pruned and unpruned walks agreed on before the
+        # unpruned walk was deleted; the pruned walk must still give it.
+        result = min_dilate_sum(SearchConfig(DilateSpec((2, 3)), 4, 11))
+        assert result.minimum == 12
+        assert IntSet([0, 2, 3, 5]) in result.witnesses
+
     def test_two_runs_identical(self):
         config = SearchConfig(DilateSpec((2, 3)), 4, 12)
         # witnesses and counters included
