@@ -10,27 +10,68 @@ canonical form fits in [0, R].
 Branch and bound is one depth-first walk of the family in ascending
 lexicographic order, from the prefix (0,), with one running incumbent:
 the smallest value met so far, seeded by the progression {0, ..., n-1},
-which belongs to every family. The walk is exact. A prefix with r
-elements still to add is cut when value + inc*r exceeds the incumbent,
-where inc is the number of distinct nonempty subset sums of the positive
-coefficients plus the same count for the magnitudes of the negative
-ones (3 for (2, 3), 2 for (-3, 2), 4 for (2, -3, 5)).
+which belongs to every family. The walk is exact. A child prefix with r
+elements still to add is cut when value + charge[r] exceeds the
+incumbent, where
 
-Why the cut is admissible. Every prefix P has minimum 0; let m be its
-maximum and append x > m. Let S+ be the sum of the positive
-coefficients. For each nonempty set T of positive indices, with C_T the
-sum of their coefficients, put x at T, m at the other positive indices
-and 0 at every negative index: the sum is S+*m + C_T*(x - m). It exceeds
-max S(P) = S+*m, and distinct C_T give distinct sums. The same argument
-applied to the negative coefficients gives new sums below min S(P). So
-each appended element adds at least inc sums, and by induction every
-completion of a prefix has value at least value + inc*r. A cut prefix's
-completions are therefore strictly above the incumbent, hence strictly
-above the final minimum, and can never tie it: no witness is lost.
+    charge[r] = (f+(r+1) - 1) + (f-(r+1) - 1).
+
+f+ and f- are lower-bound rows for the spec of the positive coefficients
+and for the spec of the negative coefficients' magnitudes, each divided
+by its gcd: f(j) <= |S(B)| for every j-set B that fits in [0, R] after a
+translation. A row starts f(1) = 1 and f(2) = |S({0, 1})|, takes the
+exact minimum at range R of a cardinality wherever one is known, and is
+extended elsewhere by f(j) = max over a + b - 1 = j of f(a) + f(b) - 1.
+A side with no coefficients has f = 1 and charges nothing. With no exact
+rows, f(j) - 1 = (f(2) - 1)*(j - 1) on each side, so charge[r] = inc*r,
+where inc is the number of distinct nonempty subset sums of the positive
+coefficients plus the same count for the magnitudes of the negative ones
+(3 for (2, 3), 2 for (-3, 2), 4 for (2, -3, 5)).
+
+Only conjecture_probe knows exact minima: the rows it has already
+finished, at its own range. They are minima of the whole spec, so they
+fill the row of a one-sign spec and nothing else. A standalone search
+computes no exact rows and charges inc*r: computing the small rows first
+costs more nodes than they save (computing every row up to 4, or up to 5,
+raised 24 searches with negative or three-term coefficients from 366,064
+nodes to 394,118 or 637,220). A mixed-sign probe charges inc*r too,
+because its rows are minima of the mixed spec, not of either side.
+
+Why the cut is admissible. Four facts:
+
+- The tail split. Let P be a child prefix, with minimum 0 and maximum
+  x, let Y = {y_1 < ... < y_r} be the elements still to come, and let
+  B = {x} | Y. With S+ the sum of the positive coefficients and S- the
+  sum of the negative magnitudes, max S(P) = S+*x and min S(P) = -S-*x.
+  Put 0 at every negative index and draw the positive indices from B:
+  these sums are the positive side's sumset of B, whose least element
+  is S+*x = max S(P) and whose others all lie above it. Put 0 at every
+  positive index and draw the negative indices from B: the negative
+  side's sumset of B, negated, whose greatest element is -S-*x =
+  min S(P) and whose others all lie below it. So each meets S(P) in one
+  point, and |S(P | Y)| >= |S(P)| + (|S+(B)| - 1) + (|S-(B)| - 1).
+- Invariance. |S+(B)| does not change under translation, scaling or
+  reflection of B, nor when the coefficients are divided by their gcd.
+  B - x lies in [0, R - x], so its canonical form is in the family of
+  cardinality r + 1 at range R, and |S+(B)| is at least that family's
+  minimum for the reduced side; the same holds for S-.
+- Super-additivity. Split a set D of a + b - 1 elements at a shared
+  element z: L holds its a smallest elements and U its b largest, so
+  max L = min U = z. For a one-sign spec with sum S, S(L) has maximum
+  S*z and S(U) has minimum S*z, so |S(D)| >= |S(L)| + |S(U)| - 1, and
+  both halves fit in [0, R] after a translation. Hence the minima at
+  range R satisfy min(a + b - 1) >= min(a) + min(b) - 1, so the extended
+  row never exceeds a true minimum. With f(1) = 1 and f(2) equal to the
+  minimum at cardinality 2, every f(j) bounds the minimum at j.
+- Strictness. Every completion of a cut prefix has value at least
+  value + charge[r], which is strictly above the incumbent, hence
+  strictly above the final minimum, so it can never tie it: no witness
+  is lost.
+
 Leaves are reached in lexicographic order, so the witnesses come out
 sorted. The traversal counters are measured against the running
-incumbent, so they depend on the visit order; minima and witnesses do
-not.
+incumbent and the charge, so they depend on the visit order and on which
+exact rows were known; minima and witnesses do not.
 
 Node values are maintained incrementally, without calling the kernels.
 For coefficients c_1..c_j and each subset U of their indices, a prefix P
@@ -109,8 +150,8 @@ class SearchResult:
     WITNESS_CAP witnesses; ``total_witnesses`` is always the exact count.
     ``nodes_visited`` counts prefixes whose dilate-sum value was computed,
     leaves and internal nodes alike; ``nodes_pruned`` counts cut subtrees:
-    internal nodes whose value plus inc times the elements still to add
-    exceeds the running incumbent (see the module docstring).
+    internal nodes whose value plus the charge of the elements still to
+    add exceeds the running incumbent (see the module docstring).
     """
 
     minimum: int
@@ -158,26 +199,45 @@ def _mask_plan(coeffs, range_max):
     return offsets, terms
 
 
-def _growth(coeffs):
-    """inc: the least number of new sums that each appended element adds.
+def _lower_row(magnitudes, size, exact):
+    """f(0..size), where f(j) bounds |S(B)| below for every j-set B in [0, R].
 
-    The count of distinct nonempty subset sums of the positive
-    coefficients plus that of the negative coefficients' magnitudes; see
-    the module docstring for why every appended element adds that many.
+    S is the one-sign spec of the given magnitudes (its gcd divided out,
+    which leaves every sumset size alone); f(0) is unused. f(1) = 1 and
+    f(2) = |S({0, 1})|. From 3 on, f(j) is ``exact[j]``, the minimum at
+    range R, when known, and otherwise max over a + b - 1 = j of
+    f(a) + f(b) - 1, the super-additive extension (see the module
+    docstring). Without exact rows f(j) = 1 + (f(2) - 1)*(j - 1).
     """
+    sums = {0}
+    for c in magnitudes:
+        sums |= {s + c for s in sums}
+    row = [0, 1, len(sums)]
+    for j in range(3, size + 1):
+        if j in exact:
+            row.append(exact[j])
+        else:
+            row.append(max(row[a] + row[j + 1 - a] - 1 for a in range(2, j)))
+    return row[: size + 1]
 
-    def nonempty_subset_sums(magnitudes):
-        sums = {0}
-        for c in magnitudes:
-            sums |= {s + c for s in sums}
-        return len(sums) - 1
 
-    return nonempty_subset_sums(c for c in coeffs if c > 0) + nonempty_subset_sums(
-        -c for c in coeffs if c < 0
-    )
+def _charges(coeffs, n, exact):
+    """charge[r]: the least growth of a child prefix with r elements to add.
+
+    charge[r] = (f+(r+1) - 1) + (f-(r+1) - 1), with f+ the lower row of
+    the positive coefficients and f- that of the negative coefficients'
+    magnitudes (see _lower_row). ``exact`` maps cardinalities to minima of
+    the whole spec at the search's range; they bound the side that holds
+    every coefficient, so they count only for a one-sign spec.
+    """
+    rows = [
+        _lower_row(side, n - 1, exact if len(side) == len(coeffs) else {})
+        for side in ([c for c in coeffs if c > 0], [-c for c in coeffs if c < 0])
+    ]
+    return [p + q - 2 for p, q in zip(rows[0][1:], rows[1][1:])]
 
 
-def _walk(config, seed, plan, inc):
+def _walk(config, seed, plan, charge):
     n = config.cardinality
     r_max = config.range_max
     reflect = config.reflection_quotient
@@ -195,7 +255,7 @@ def _walk(config, seed, plan, inc):
         inner = len(prefix) < n - 1
         top = r_max - (n - len(prefix) - 2)
         # the least growth of a child's completions
-        lead = inc * (n - len(prefix) - 1)
+        lead = charge[n - len(prefix) - 1]
         m_full = masks[full]
         for x in nxts:
             m = m_full
@@ -236,10 +296,18 @@ def _walk(config, seed, plan, inc):
 def min_dilate_sum(config: SearchConfig) -> SearchResult:
     """Exact minimum of |dilate_sum(A, spec)| over the canonical family.
 
-    The lookahead cut never changes the minimum or the witness list; see
-    the module docstring for why. The config was checked when it was
-    built, so the search itself refuses nothing.
+    The walk cuts a prefix by the charge of the elements still to add,
+    which here is inc times their number; the cut never changes the
+    minimum or the witness list (see the module docstring). The config
+    was checked when it was built, so the search itself refuses nothing.
     """
+    return _minimize(config, {})
+
+
+def _minimize(config, exact):
+    """min_dilate_sum, with ``exact`` mapping smaller cardinalities to the
+    minima of config.spec at config.range_max; they tighten the charge of
+    a one-sign spec (see _charges) and leave minima and witnesses alone."""
     n = config.cardinality
     if n == 1:
         # Every dilate of {0} is {0}, so the only set has one sum.
@@ -256,7 +324,7 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
     coeffs = config.spec.coefficients
     seed = backend.fold_size(tuple((c, tuple(range(n))) for c in coeffs))
     best, witnesses, visited, pruned = _walk(
-        config, seed, _mask_plan(coeffs, config.range_max), _growth(coeffs)
+        config, seed, _mask_plan(coeffs, config.range_max), _charges(coeffs, n, exact)
     )
     if not witnesses:
         raise RuntimeError("canonical family unexpectedly empty")
@@ -324,9 +392,11 @@ def conjecture_probe(spec, cardinalities, range_max: int):
     """
     spec = _coerce_spec(spec)
     rows = []
+    minima = {}
     for config in _probe_configs(spec, cardinalities, range_max):
-        result = min_dilate_sum(config)
+        result = _minimize(config, minima)
         n = config.cardinality
+        minima[n] = result.minimum
         rows.append(
             ProbeRow(
                 cardinality=n,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -220,6 +221,27 @@ class TestProbe:
         ]
         assert csv_rows == json_rows
 
+    # sha256 of the stdout payloads as printed before the probe cut its
+    # prefixes by its own finished rows; the rows carry no counters, so
+    # the payloads stay byte-identical.
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--n-to", "8", "--range", "26"],
+                "2667572ac86d987dc051803a5b9e135b8d6a0c999041fe1f8a3184f5eff054e1",
+            ),
+            (
+                ["--n-to", "14", "--range", "30", "--csv"],
+                "cf3e0433ac6adbad55b5c05e0c933511a40f5704646c5ca18dd31d190216762e",
+            ),
+        ],
+    )
+    def test_payload_bytes_pinned(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, "probe", "--coeffs", "2,3", "--n-from", "2", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize(
         "n_from, n_to, range_max, message",
         [
@@ -234,7 +256,7 @@ class TestProbe:
         def unreachable(*args, **kwargs):
             raise AssertionError("reached after an impossible cardinality")
 
-        monkeypatch.setattr(dilates.search, "min_dilate_sum", unreachable)
+        monkeypatch.setattr(dilates.search, "_minimize", unreachable)
         code, out, err = run_cli(
             capsys, "probe", "--coeffs", "2,3", "--n-from", n_from,
             "--n-to", n_to, "--range", range_max,

@@ -242,13 +242,24 @@ class TestMinDilateSum:
             SearchConfig(DilateSpec((2, 3)), 3, 12.0)
 
 
+def charge_per_element(coeffs):
+    """The charge of one element still to add, with no exact rows."""
+    return search._charges(coeffs, 3, {})[1]
+
+
 class TestLookaheadGrowth:
     @pytest.mark.parametrize(
         "coeffs, inc",
         [((2, 3), 3), ((2, 3, 5), 6), ((-3, 2), 2), ((2, -3, 5), 4), ((1, 2, 4), 7)],
     )
     def test_inc_pinned(self, coeffs, inc):
-        assert search._growth(coeffs) == inc
+        assert charge_per_element(coeffs) == inc
+
+    @pytest.mark.parametrize("coeffs", [(2, 3), (-3, 2), (2, -3, 5), (1, 2, 4), (5,)])
+    def test_no_exact_rows_charge_inc_per_element(self, coeffs):
+        inc = charge_per_element(coeffs)
+        # a search of 9 elements charges r = 0..7 elements still to add
+        assert search._charges(coeffs, 9, {}) == [inc * r for r in range(8)]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -265,7 +276,52 @@ class TestLookaheadGrowth:
         added = len(naive_dilate_sum(grown, coeffs)) - len(
             naive_dilate_sum(prefix, coeffs)
         )
-        assert added >= search._growth(coeffs)
+        assert added >= charge_per_element(coeffs)
+
+
+one_sign_coeffs = st.tuples(
+    st.lists(st.integers(1, 6), min_size=1, max_size=3), st.booleans()
+).map(lambda t: [-c for c in t[0]] if t[1] else t[0])
+
+
+class TestChargeOracle:
+    """The two inequalities behind the charge, against the brute-force fold."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coeffs=one_sign_coeffs,
+        lower=st.sets(st.integers(0, 11), max_size=4),
+        upper=st.sets(st.integers(13, 24), max_size=4),
+        shared=st.integers(0, 12),
+    )
+    def test_super_additive_at_a_shared_element(self, coeffs, lower, upper, shared):
+        low = sorted(x for x in lower if x < shared) + [shared]
+        high = [shared] + sorted(upper)
+        size = len(naive_dilate_sum(sorted(set(low + high)), coeffs))
+        assert size >= (
+            len(naive_dilate_sum(low, coeffs)) + len(naive_dilate_sum(high, coeffs)) - 1
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coeffs=st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=3),
+        inner=st.sets(st.integers(1, 11), max_size=3),
+        top=st.integers(1, 12),
+        tail=st.sets(st.integers(1, 12), max_size=3),
+    )
+    # Two-term mixed specs meet the split with equality here.
+    @example(coeffs=[1, -1], inner=set(), top=1, tail={1})
+    def test_mixed_sign_tail_split(self, coeffs, inner, top, tail):
+        prefix = sorted({0, top} | {x for x in inner if x < top})
+        block = [top] + [top + d for d in sorted(tail)]
+        positive = [c for c in coeffs if c > 0]
+        negative = [-c for c in coeffs if c < 0]
+        size = len(naive_dilate_sum(sorted(set(prefix + block)), coeffs))
+        assert size >= (
+            len(naive_dilate_sum(prefix, coeffs))
+            + len(naive_dilate_sum(block, positive)) - 1
+            + len(naive_dilate_sum(block, negative)) - 1
+        )
 
 
 class TestConjectureProbe:
@@ -287,6 +343,42 @@ class TestConjectureProbe:
     def test_rows_ascending(self):
         rows = conjecture_probe(DilateSpec((2, 3)), [4, 2, 3], 10)
         assert [r.cardinality for r in rows] == [2, 3, 4]
+
+    @pytest.mark.parametrize("cardinalities", [range(5, 9), [2, 5, 8]])
+    def test_missing_smaller_rows_change_no_row(self, cardinalities):
+        # Rows below 5, or between the requested ones, are never searched,
+        # so their charges come from the super-additive extension alone.
+        full = {r.cardinality: r for r in conjecture_probe((2, 3), range(2, 9), 26)}
+        rows = conjecture_probe((2, 3), cardinalities, 26)
+        assert rows == [full[n] for n in cardinalities]
+
+    @pytest.mark.parametrize("coeffs", [(1, 2, 4), (2, -3, 5), (-2, -3)])
+    def test_rows_match_brute_force(self, coeffs):
+        spec = DilateSpec(coeffs)
+        for row in conjecture_probe(spec, range(1, 7), 10):
+            expected_min, expected_wits = naive_minimum(coeffs, row.cardinality, 10)
+            assert (row.minimum, row.total_witnesses) == (expected_min, len(expected_wits))
+            assert row.witness.elements == expected_wits[0]
+            assert row.deficiency == spec.weight * row.cardinality - expected_min
+
+    def test_benchmark_table_nodes_pinned(self, monkeypatch):
+        # The probe table (2, 3), n = 2..8 at range 26 visits 100,749 nodes
+        # with the inc*r charge alone; its finished rows cut it to 61,018.
+        alone = [
+            min_dilate_sum(SearchConfig(DilateSpec((2, 3)), n, 26)) for n in range(2, 9)
+        ]
+        assert sum(r.nodes_visited for r in alone) == 100_749
+        results = []
+        real = search._minimize
+
+        def recorded(config, exact):
+            results.append(real(config, exact))
+            return results[-1]
+
+        monkeypatch.setattr(search, "_minimize", recorded)
+        conjecture_probe((2, 3), range(2, 9), 26)
+        assert [r.minimum for r in results] == [r.minimum for r in alone]
+        assert sum(r.nodes_visited for r in results) == 61_018
 
     def test_gcd_hypothesis(self):
         with pytest.raises(SearchConfigError):
@@ -320,7 +412,7 @@ class TestConjectureProbe:
     def test_refuses_before_any_search(self, monkeypatch, cardinalities, range_max, message):
         monkeypatch.setattr(backend, "BITSET_SPAN_LIMIT", 150)
 
-        def no_search(config):
+        def no_search(config, exact):
             raise AssertionError("a search ran before the refusal")
 
         built = []
@@ -330,16 +422,16 @@ class TestConjectureProbe:
             built.append(kwargs["cardinality"])
             return real_config(*args, **kwargs)
 
-        monkeypatch.setattr(search, "min_dilate_sum", no_search)
+        monkeypatch.setattr(search, "_minimize", no_search)
         monkeypatch.setattr(search, "SearchConfig", counted_config)
         with pytest.raises(SearchConfigError, match=message):
             conjecture_probe(DilateSpec((2, 3)), cardinalities, range_max)
         assert len(built) <= 3
 
     def test_non_integer_cardinality_refused_before_any_search(self, monkeypatch):
-        def no_search(config):
+        def no_search(config, exact):
             raise AssertionError("a search ran before the refusal")
 
-        monkeypatch.setattr(search, "min_dilate_sum", no_search)
+        monkeypatch.setattr(search, "_minimize", no_search)
         with pytest.raises(TypeError):
             conjecture_probe((2, 3), [2.0, 3], 12)
