@@ -29,7 +29,10 @@ coefficients plus the same count for the magnitudes of the negative ones
 (3 for (2, 3), 2 for (-3, 2), 4 for (2, -3, 5)).
 
 Only conjecture_probe knows exact minima: the rows it has already
-finished, at its own range. They are minima of the whole spec, so they
+finished, at its own range. It passes each row's search to
+min_dilate_sum as a private SearchConfig subclass that carries them, so
+every search, probe rows included, runs through min_dilate_sum. They are
+minima of the whole spec, so they
 fill the row of a one-sign spec and nothing else. A standalone search
 computes no exact rows and charges inc*r: computing the small rows first
 costs more nodes than they save (computing every row up to 4, or up to 5,
@@ -101,7 +104,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import backend
 from .errors import SearchConfigError
@@ -293,21 +296,23 @@ def _walk(config, seed, plan, charge):
     return best, witnesses, visited, pruned
 
 
+@dataclass(frozen=True)
+class _ProbeRowConfig(SearchConfig):
+    """A probe row's family, with the minima of the rows the probe has
+    already finished: cardinality -> minimum of spec at range_max."""
+
+    finished: dict = field(default_factory=dict, compare=False)
+
+
 def min_dilate_sum(config: SearchConfig) -> SearchResult:
     """Exact minimum of |dilate_sum(A, spec)| over the canonical family.
 
-    The walk cuts a prefix by the charge of the elements still to add,
-    which here is inc times their number; the cut never changes the
-    minimum or the witness list (see the module docstring). The config
-    was checked when it was built, so the search itself refuses nothing.
+    The walk cuts a prefix by the charge of the elements still to add:
+    inc times their number, or for a one-sign conjecture_probe row, the
+    charge built from the rows the probe has finished. The cut never
+    changes the minimum or the witness list (see the module docstring). The config was checked
+    when it was built, so the search itself refuses nothing.
     """
-    return _minimize(config, {})
-
-
-def _minimize(config, exact):
-    """min_dilate_sum, with ``exact`` mapping smaller cardinalities to the
-    minima of config.spec at config.range_max; they tighten the charge of
-    a one-sign spec (see _charges) and leave minima and witnesses alone."""
     n = config.cardinality
     if n == 1:
         # Every dilate of {0} is {0}, so the only set has one sum.
@@ -323,6 +328,7 @@ def _minimize(config, exact):
     # against it can only discard values that exceed the true minimum.
     coeffs = config.spec.coefficients
     seed = backend.fold_size(tuple((c, tuple(range(n))) for c in coeffs))
+    exact = config.finished if isinstance(config, _ProbeRowConfig) else {}
     best, witnesses, visited, pruned = _walk(
         config, seed, _mask_plan(coeffs, config.range_max), _charges(coeffs, n, exact)
     )
@@ -394,8 +400,10 @@ def conjecture_probe(spec, cardinalities, range_max: int):
     rows = []
     minima = {}
     for config in _probe_configs(spec, cardinalities, range_max):
-        result = _minimize(config, minima)
         n = config.cardinality
+        result = min_dilate_sum(
+            _ProbeRowConfig(spec, n, range_max, finished=dict(minima))
+        )
         minima[n] = result.minimum
         rows.append(
             ProbeRow(

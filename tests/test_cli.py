@@ -256,7 +256,7 @@ class TestProbe:
         def unreachable(*args, **kwargs):
             raise AssertionError("reached after an impossible cardinality")
 
-        monkeypatch.setattr(dilates.search, "_minimize", unreachable)
+        monkeypatch.setattr(dilates.search, "min_dilate_sum", unreachable)
         code, out, err = run_cli(
             capsys, "probe", "--coeffs", "2,3", "--n-from", n_from,
             "--n-to", n_to, "--range", range_max,

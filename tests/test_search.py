@@ -250,15 +250,12 @@ def charge_per_element(coeffs):
 class TestLookaheadGrowth:
     @pytest.mark.parametrize(
         "coeffs, inc",
-        [((2, 3), 3), ((2, 3, 5), 6), ((-3, 2), 2), ((2, -3, 5), 4), ((1, 2, 4), 7)],
+        [((2, 3), 3), ((2, 3, 5), 6), ((-3, 2), 2), ((2, -3, 5), 4), ((1, 2, 4), 7),
+         ((5,), 1)],
     )
     def test_inc_pinned(self, coeffs, inc):
-        assert charge_per_element(coeffs) == inc
-
-    @pytest.mark.parametrize("coeffs", [(2, 3), (-3, 2), (2, -3, 5), (1, 2, 4), (5,)])
-    def test_no_exact_rows_charge_inc_per_element(self, coeffs):
-        inc = charge_per_element(coeffs)
-        # a search of 9 elements charges r = 0..7 elements still to add
+        # with no exact rows, a search of 9 elements charges inc*r for
+        # r = 0..7 elements still to add
         assert search._charges(coeffs, 9, {}) == [inc * r for r in range(8)]
 
     @settings(max_examples=300, deadline=None)
@@ -369,13 +366,13 @@ class TestConjectureProbe:
         ]
         assert sum(r.nodes_visited for r in alone) == 100_749
         results = []
-        real = search._minimize
+        real = search.min_dilate_sum
 
-        def recorded(config, exact):
-            results.append(real(config, exact))
+        def recorded(config):
+            results.append(real(config))
             return results[-1]
 
-        monkeypatch.setattr(search, "_minimize", recorded)
+        monkeypatch.setattr(search, "min_dilate_sum", recorded)
         conjecture_probe((2, 3), range(2, 9), 26)
         assert [r.minimum for r in results] == [r.minimum for r in alone]
         assert sum(r.nodes_visited for r in results) == 61_018
@@ -412,7 +409,7 @@ class TestConjectureProbe:
     def test_refuses_before_any_search(self, monkeypatch, cardinalities, range_max, message):
         monkeypatch.setattr(backend, "BITSET_SPAN_LIMIT", 150)
 
-        def no_search(config, exact):
+        def no_search(config):
             raise AssertionError("a search ran before the refusal")
 
         built = []
@@ -422,16 +419,16 @@ class TestConjectureProbe:
             built.append(kwargs["cardinality"])
             return real_config(*args, **kwargs)
 
-        monkeypatch.setattr(search, "_minimize", no_search)
+        monkeypatch.setattr(search, "min_dilate_sum", no_search)
         monkeypatch.setattr(search, "SearchConfig", counted_config)
         with pytest.raises(SearchConfigError, match=message):
             conjecture_probe(DilateSpec((2, 3)), cardinalities, range_max)
         assert len(built) <= 3
 
     def test_non_integer_cardinality_refused_before_any_search(self, monkeypatch):
-        def no_search(config, exact):
+        def no_search(config):
             raise AssertionError("a search ran before the refusal")
 
-        monkeypatch.setattr(search, "_minimize", no_search)
+        monkeypatch.setattr(search, "min_dilate_sum", no_search)
         with pytest.raises(TypeError):
             conjecture_probe((2, 3), [2.0, 3], 12)
