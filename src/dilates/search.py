@@ -104,7 +104,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import backend
 from .errors import SearchConfigError
@@ -296,12 +296,16 @@ def _walk(config, seed, plan, charge):
     return best, witnesses, visited, pruned
 
 
-@dataclass(frozen=True)
 class _ProbeRowConfig(SearchConfig):
     """A probe row's family, with the minima of the rows the probe has
-    already finished: cardinality -> minimum of spec at range_max."""
+    already finished: cardinality -> minimum of spec at range_max.
 
-    finished: dict = field(default_factory=dict, compare=False)
+    A plain subclass: the dataclass decorator would add about 1 ms to
+    every import of the package."""
+
+    def __init__(self, spec, cardinality, range_max, finished):
+        super().__init__(spec, cardinality, range_max)
+        object.__setattr__(self, "finished", finished)
 
 
 def min_dilate_sum(config: SearchConfig) -> SearchResult:
@@ -310,8 +314,9 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
     The walk cuts a prefix by the charge of the elements still to add:
     inc times their number, or for a one-sign conjecture_probe row, the
     charge built from the rows the probe has finished. The cut never
-    changes the minimum or the witness list (see the module docstring). The config was checked
-    when it was built, so the search itself refuses nothing.
+    changes the minimum or the witness list (see the module docstring).
+    The config was checked when it was built, so the search itself
+    refuses nothing.
     """
     n = config.cardinality
     if n == 1:
@@ -402,7 +407,7 @@ def conjecture_probe(spec, cardinalities, range_max: int):
     for config in _probe_configs(spec, cardinalities, range_max):
         n = config.cardinality
         result = min_dilate_sum(
-            _ProbeRowConfig(spec, n, range_max, finished=dict(minima))
+            _ProbeRowConfig(spec, n, range_max, dict(minima))
         )
         minima[n] = result.minimum
         rows.append(
