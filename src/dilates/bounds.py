@@ -365,19 +365,6 @@ def _cardinality(n):
     return n
 
 
-def ap_exact_size(n: int, k: int) -> int:
-    """Closed-form |2*P + k*P| for the length-n progression P = {0..n-1}.
-
-    Returns (k+2)n - 2k for n >= 2 and 1 for a singleton. The closed form
-    is genuinely exact only once n >= k (and trivially at n = 2); ap_size
-    gives the exact value for every n, and ap_recompute counts the sums
-    directly. A non-integer n raises TypeError and n < 1 ValueError.
-    """
-    _require_odd_prime(k)
-    n = _cardinality(n)
-    return 1 if n == 1 else (k + 2) * n - 2 * k
-
-
 def ap_size(n: int, k: int) -> int:
     """Exact |2*P + k*P| for the length-n progression P = {0..n-1}.
 
@@ -386,7 +373,8 @@ def ap_size(n: int, k: int) -> int:
     makes the odd prime k divide i - i', and |i - i'| < k); for n >= k the
     closed form is exact. The two agree at n = k, and
     n**2 - ((k+2)n - 2k) = (n-2)(n-k) shows the minimum picks the right
-    one in both ranges. A non-integer n raises TypeError.
+    one in both ranges. A non-integer n raises TypeError and n < 1
+    ValueError.
     """
     _require_odd_prime(k)
     n = _cardinality(n)

@@ -3,8 +3,8 @@
 Every subcommand prints one JSON payload with top-level keys "command",
 "params", "results"; `check` and `probe` can emit CSV instead. Identical
 inputs produce byte-identical payloads. Exit codes: 0 success, 1 a
-verified inequality failed, 2 usage or hypothesis error, 3 arithmetic
-range error.
+verified inequality failed (for `ap`, the exact size disagreed with the
+fold), 2 usage or hypothesis error, 3 arithmetic range error.
 """
 
 import argparse
@@ -13,7 +13,7 @@ import io
 import json
 import sys
 
-from .bounds import ap_exact_size, ap_recompute, check_suite
+from .bounds import ap_recompute, ap_size, check_suite
 from .errors import (
     ArithmeticRangeError,
     DilatesError,
@@ -185,15 +185,15 @@ def _cmd_probe(args):
 
 
 def _cmd_ap(args):
-    formula = ap_exact_size(args.n, args.k)
+    value = ap_size(args.n, args.k)
     recomputed = ap_recompute(args.n, args.k)
-    matches = formula == recomputed
+    matches = value == recomputed
     _emit_json(
         {
             "command": "ap",
             "params": {"n": args.n, "k": args.k},
             "results": {
-                "value": formula,
+                "value": value,
                 "recomputed": recomputed,
                 "matches": matches,
             },
@@ -217,9 +217,7 @@ def _build_parser():
     p = sub.add_parser("check", help="run every inequality checker on a set")
     p.add_argument("--set", required=True, help="comma-separated integers")
     p.add_argument("--k", required=True, type=int, help="odd prime")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-    fmt.add_argument("--csv", action="store_true", help="CSV output")
+    p.add_argument("--csv", action="store_true", help="CSV output instead of JSON")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("search", help="exact minimum of a dilate-sum size")
@@ -238,12 +236,12 @@ def _build_parser():
     p.add_argument("--n-from", required=True, type=int)
     p.add_argument("--n-to", required=True, type=int)
     p.add_argument("--range", required=True, type=int)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-    fmt.add_argument("--csv", action="store_true", help="CSV output")
+    p.add_argument("--csv", action="store_true", help="CSV output instead of JSON")
     p.set_defaults(func=_cmd_probe)
 
-    p = sub.add_parser("ap", help="closed-form progression value, verified")
+    p = sub.add_parser(
+        "ap", help="exact |2P+kP| of the progression {0..n-1}, checked against the fold"
+    )
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--k", required=True, type=int)
     p.set_defaults(func=_cmd_ap)

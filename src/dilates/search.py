@@ -348,16 +348,16 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
     )
 
 
-def _probe_configs(spec, cardinalities, range_max):
-    """One SearchConfig per distinct cardinality, ascending.
+def _probe_cardinalities(spec, cardinalities, range_max):
+    """The distinct cardinalities ascending, each coerced with
+    operator.index, after checking that SearchConfig accepts them all.
 
-    Every config is built, and so checked, before any search runs.
     SearchConfig refuses a cardinality below 1, above range_max + 1, or
     from 2 on when the search masks are too wide, so the first refused
     member of the ascending sequence is its first member, its first from
-    2 on or its first from range_max + 2 on. Those edges, found by
-    bisection, are built first, so a huge range is refused without being
-    walked.
+    2 on or its first from range_max + 2 on. Building the configs of those
+    edges, found by bisection, checks every member, so a huge range is
+    refused without being walked.
     """
     if spec.magnitude_gcd != 1:
         raise SearchConfigError(
@@ -366,16 +366,11 @@ def _probe_configs(spec, cardinalities, range_max):
     if isinstance(cardinalities, range):
         ordered = cardinalities if cardinalities.step > 0 else cardinalities[::-1]
     else:
-        ordered = sorted(set(cardinalities))
-
-    def build(n):
-        return SearchConfig(spec=spec, cardinality=n, range_max=range_max)
-
-    edges = {0, bisect_left(ordered, 2), bisect_left(ordered, range_max + 2)}
-    for i in sorted(edges):
+        ordered = sorted({operator.index(n) for n in cardinalities})
+    for i in sorted({0, bisect_left(ordered, 2), bisect_left(ordered, range_max + 2)}):
         if i < len(ordered):
-            build(ordered[i])
-    return [build(n) for n in ordered]
+            SearchConfig(spec=spec, cardinality=ordered[i], range_max=range_max)
+    return ordered
 
 
 @dataclass(frozen=True)
@@ -396,19 +391,16 @@ def conjecture_probe(spec, cardinalities, range_max: int):
     that the coefficients' total magnitude suggests; coefficient
     magnitudes must be coprime overall. Rows come back in ascending n.
     Minima are minima over [0, range_max]; no claim is made that the
-    range captures the global minimum. Every cardinality's config is built,
-    and so checked, before the first search, edges first, so a refused
-    one costs no search time and a huge range is refused at once. Every
-    search runs with SearchConfig's default reflection quotient.
+    range captures the global minimum. Every cardinality is checked before
+    the first search, so a refused one costs no search time and a huge
+    range is refused at once. Every search runs with SearchConfig's
+    default reflection quotient.
     """
     spec = _coerce_spec(spec)
     rows = []
     minima = {}
-    for config in _probe_configs(spec, cardinalities, range_max):
-        n = config.cardinality
-        result = min_dilate_sum(
-            _ProbeRowConfig(spec, n, range_max, dict(minima))
-        )
+    for n in _probe_cardinalities(spec, cardinalities, range_max):
+        result = min_dilate_sum(_ProbeRowConfig(spec, n, range_max, dict(minima)))
         minima[n] = result.minimum
         rows.append(
             ProbeRow(

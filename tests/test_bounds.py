@@ -8,7 +8,6 @@ from dilates import (
     InvalidCoefficientError,
     InvalidModulusError,
     MergeLimitError,
-    ap_exact_size,
     ap_recompute,
     ap_size,
     bound_basic,
@@ -299,21 +298,11 @@ class TestMainLarge:
         assert cor.verdict == "holds"
 
 
-class TestApExactSize:
-    def test_formula_values(self):
-        assert ap_exact_size(2, 3) == 4
-        assert ap_exact_size(3, 5) == 11
-        assert ap_exact_size(1, 11) == 1
-
-    def test_verification_detects_shortfall(self):
-        # below n = k the true size is smaller than the closed form
-        assert ap_recompute(3, 5) == 9 < ap_exact_size(3, 5)
-
-    def test_verified_in_validity_range(self):
-        for k in (3, 5, 7):
-            assert ap_recompute(2, k) == ap_exact_size(2, k) == 4
-            for n in range(k, 3 * k):
-                assert ap_recompute(n, k) == ap_exact_size(n, k) == (k + 2) * n - 2 * k
+class TestApSize:
+    def test_matches_recompute(self):
+        for k in (3, 5, 7, 11, 13):
+            for n in range(1, 41):
+                assert ap_size(n, k) == ap_recompute(n, k), (n, k)
 
     def test_recompute_matches_oracle(self):
         for n, k in [(2, 3), (3, 5), (4, 5), (6, 7)]:
@@ -348,36 +337,20 @@ class TestApExactSize:
         assert ap_recompute(4, 3) == ap_size(4, 3)
 
     def test_validation(self):
-        with pytest.raises(InvalidModulusError):
-            ap_exact_size(5, 4)
-        with pytest.raises(InvalidModulusError):
-            ap_exact_size(4, 3.0)
-        with pytest.raises(TypeError):
-            ap_exact_size(4.0, 3)
-        with pytest.raises(ValueError):
-            ap_exact_size(0, 3)
-        for n in (0, -2):
-            with pytest.raises(ValueError, match=f"cardinality must be >= 1, got {n}"):
-                ap_recompute(n, 3)
-        with pytest.raises(TypeError):
-            ap_recompute(4.0, 3)
-
-
-class TestApSize:
-    def test_matches_recompute(self):
-        for k in (3, 5, 7, 11, 13):
-            for n in range(1, 41):
-                assert ap_size(n, k) == ap_recompute(n, k), (n, k)
-
-    def test_validation(self):
-        with pytest.raises(InvalidModulusError):
-            ap_size(5, 9)
+        for k in (4, 9):
+            with pytest.raises(InvalidModulusError):
+                ap_size(5, k)
         with pytest.raises(InvalidModulusError):
             ap_size(4, 3.0)
         with pytest.raises(TypeError):
             ap_size(4.0, 3)
         with pytest.raises(ValueError):
             ap_size(0, 3)
+        for n in (0, -2):
+            with pytest.raises(ValueError, match=f"cardinality must be >= 1, got {n}"):
+                ap_recompute(n, 3)
+        with pytest.raises(TypeError):
+            ap_recompute(4.0, 3)
 
 
 class TestDeficiency:

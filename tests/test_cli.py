@@ -146,13 +146,16 @@ class TestSearch:
         assert data["results"]["minimum"] == 8
 
     def test_removed_flag_refused(self, capsys):
-        code, out, err = run_cli(
-            capsys,
-            "search", "--coeffs", "2,3", "--n", "3", "--range", "12", "--no-prune",
-        )
-        assert code == 2
-        assert out == ""
-        assert "unrecognized arguments" in err
+        for argv in (
+            ["search", "--coeffs", "2,3", "--n", "3", "--range", "12", "--no-prune"],
+            ["check", "--set", "0,1,2", "--k", "3", "--json"],
+            ["probe", "--coeffs", "2,3", "--n-from", "2", "--n-to", "3", "--range", "12",
+             "--json"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert "unrecognized arguments" in err
 
     def test_range_touch_caveat(self, capsys):
         # the only canonical pair is {0,1}, which touches range_max=1
@@ -281,11 +284,14 @@ class TestAp:
         results = payload(out)["results"]
         assert results == {"value": 194, "recomputed": 194, "matches": True}
 
-    def test_shortfall_exits_one(self, capsys):
-        code, out, _ = run_cli(capsys, "ap", "--n", "3", "--k", "5")
-        assert code == 1
+    # A singleton, a pair, the n**2 regime 2 < n < k, and n = k, where both
+    # closed forms agree; test_valid_progression holds n > k.
+    @pytest.mark.parametrize("n, k, value", [(1, 3, 1), (2, 7, 4), (3, 5, 9), (5, 5, 25)])
+    def test_each_regime_matches_fold(self, capsys, n, k, value):
+        code, out, _ = run_cli(capsys, "ap", "--n", str(n), "--k", str(k))
+        assert code == 0
         results = payload(out)["results"]
-        assert results == {"value": 11, "recomputed": 9, "matches": False}
+        assert results == {"value": value, "recomputed": value, "matches": True}
 
     def test_invalid_k(self, capsys):
         code, _, err = run_cli(capsys, "ap", "--n", "4", "--k", "9")
@@ -308,6 +314,35 @@ class TestAp:
         code, out, err = run_cli(capsys, "ap", "--n", "5", "--k", "3")
         assert (code, out) == (2, "")
         assert err == "error: merge of 5 x 5 elements would form 25 sums, above the limit of 16\n"
+
+
+# sha256 of stdout payloads that must stay byte-identical: `check` in both
+# formats, and `ap` where the paper's closed form is exact (n >= k).
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["check", "--set", "0,1,2,5", "--k", "3"],
+            "93b07f4608d55aaed51ff05b99688b330891ee8476ffc6dabb4e584baf832589",
+        ),
+        (
+            ["check", "--set=-7,0,3,4,11,20", "--k", "5", "--csv"],
+            "97662a4adeaf117221fcda73cca00229ef17acacf91ad3460bbb9437d3527549",
+        ),
+        (
+            ["ap", "--n", "40", "--k", "3"],
+            "6c6e0a178a7b9b288fa19bdd6677e70a62a0d53ce6df908d19dfec811a39056a",
+        ),
+        (
+            ["ap", "--n", "7", "--k", "7"],
+            "0b71f308f214691c477b71fd42e93538e0348aac92cb7f5e7dc605d300b518f7",
+        ),
+    ],
+)
+def test_payload_bytes_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestArgparse:

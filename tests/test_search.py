@@ -430,5 +430,7 @@ class TestConjectureProbe:
             raise AssertionError("a search ran before the refusal")
 
         monkeypatch.setattr(search, "min_dilate_sum", no_search)
-        with pytest.raises(TypeError):
-            conjecture_probe((2, 3), [2.0, 3], 12)
+        # a float is refused whether or not an equal int comes before it
+        for cardinalities in ([2.0, 3], [2, 3.0], [3, 3.0], [3.0, 3]):
+            with pytest.raises(TypeError):
+                conjecture_probe((2, 3), cardinalities, 12)
