@@ -304,6 +304,21 @@ class TestApSize:
             for n in range(1, 41):
                 assert ap_size(n, k) == ap_recompute(n, k), (n, k)
 
+    def test_validation(self):
+        for k in (4, 9):
+            with pytest.raises(InvalidModulusError):
+                ap_size(5, k)
+        with pytest.raises(InvalidModulusError):
+            ap_size(4, 3.0)
+        with pytest.raises(TypeError):
+            ap_size(4.0, 3)
+        with pytest.raises(ValueError):
+            ap_size(0, 3)
+
+
+class TestApExactSize:
+    """The exact progression size by direct fold: ap_recompute."""
+
     def test_recompute_matches_oracle(self):
         for n, k in [(2, 3), (3, 5), (4, 5), (6, 7)]:
             assert ap_recompute(n, k) == len(naive_dilate_sum(tuple(range(n)), (2, k)))
@@ -337,20 +352,13 @@ class TestApSize:
         assert ap_recompute(4, 3) == ap_size(4, 3)
 
     def test_validation(self):
-        for k in (4, 9):
-            with pytest.raises(InvalidModulusError):
-                ap_size(5, k)
-        with pytest.raises(InvalidModulusError):
-            ap_size(4, 3.0)
-        with pytest.raises(TypeError):
-            ap_size(4.0, 3)
-        with pytest.raises(ValueError):
-            ap_size(0, 3)
         for n in (0, -2):
             with pytest.raises(ValueError, match=f"cardinality must be >= 1, got {n}"):
                 ap_recompute(n, 3)
         with pytest.raises(TypeError):
             ap_recompute(4.0, 3)
+        with pytest.raises(TypeError):
+            ap_recompute(4, 3.0)
 
 
 class TestDeficiency:
