@@ -52,6 +52,7 @@ MAX_CONSTANT_PRIME = 13
 GE = ">="
 GT = ">"
 EQ = "=="
+_RELATIONS = {GE: operator.ge, GT: operator.gt, EQ: operator.eq}
 
 
 @dataclass(frozen=True)
@@ -59,19 +60,30 @@ class BoundReport:
     """Outcome of one inequality check.
 
     ``holds`` is None exactly when the hypotheses are not met, in which
-    case the verdict is "not-applicable"; slack is lhs - rhs whenever both
-    sides exist.
+    case the verdict is "not-applicable"; otherwise it is ``relation``
+    applied to lhs and rhs. ``slack`` is lhs - rhs whenever both sides
+    exist. Both are derived, so neither can contradict the sides.
     """
 
     statement_id: str
     hypotheses_met: bool
     lhs: int | None
     rhs: int | None
-    slack: int | None
-    holds: bool | None
     relation: str = GE
     hypotheses: dict = field(default_factory=dict)
     detail: dict = field(default_factory=dict)
+
+    @property
+    def slack(self) -> int | None:
+        if self.lhs is None or self.rhs is None:
+            return None
+        return self.lhs - self.rhs
+
+    @property
+    def holds(self) -> bool | None:
+        if not self.hypotheses_met:
+            return None
+        return _RELATIONS[self.relation](self.lhs, self.rhs)
 
     @property
     def verdict(self) -> str:
@@ -93,27 +105,12 @@ class BoundReport:
         }
 
 
-def _compare(lhs, rhs, relation):
-    if relation == GE:
-        return lhs >= rhs
-    if relation == GT:
-        return lhs > rhs
-    return lhs == rhs
-
-
 def _report(statement_id, relation, lhs, rhs, hypotheses, detail=None, met=None):
-    met = all(hypotheses.values()) if met is None else met
-    holds = None
-    slack = lhs - rhs if (lhs is not None and rhs is not None) else None
-    if met:
-        holds = _compare(lhs, rhs, relation)
     return BoundReport(
         statement_id=statement_id,
-        hypotheses_met=met,
+        hypotheses_met=all(hypotheses.values()) if met is None else met,
         lhs=lhs,
         rhs=rhs,
-        slack=slack,
-        holds=holds,
         relation=relation,
         hypotheses=hypotheses,
         detail=detail or {},
@@ -234,9 +231,9 @@ def bound_marginal_total(a: IntSet, k: int) -> BoundReport:
     prime k, so for any other k the verdict is not-applicable and
     ``detail["relaxed"]`` is true.
     """
-    d = decompose(a, k)
-    total = sum(len(marginal_set(c, a, k)) for c in d)
-    c = d.component_count
+    blocks = decompose(a, k)
+    total = sum(len(marginal_set(c, a, k)) for c in blocks.values())
+    c = len(blocks)
     odd_prime = is_odd_prime(k)
     return _report(
         "marginal_total_bound", GE, total, (c - 1) * c, {"odd_prime_k": odd_prime},
@@ -270,9 +267,9 @@ def check_faithful(a: IntSet, k: int, c_residue: int) -> BoundReport:
         "other_component_exists": False,
     }
     if all(gates.values()):
-        d = decompose(a, k)
-        block = d.blocks.get(c_residue)
-        others = [b for r, b in d.blocks.items() if r != c_residue]
+        blocks = decompose(a, k)
+        block = blocks.get(c_residue)
+        others = [b for r, b in blocks.items() if r != c_residue]
         if block is not None:
             hypotheses.update(
                 component_exists=True,
@@ -413,18 +410,14 @@ def deficiency(a: IntSet, spec) -> int:
     return spec.weight * len(a) - dilate_sum_size(a, spec)
 
 
-def _na_report(statement_id, error):
-    return _report(statement_id, GE, None, None, {"checker_ran": False},
-                   detail={"error": str(error)})
-
-
 def check_suite(a: IntSet, k: int):
     """Run every applicable checker on (a, k); returns sorted reports.
 
     Checkers whose statements require 0 in A and gcd(A) = 1 run on the
     canonical representative (size-invariant), and their reports record
     that. Per-checker errors become not-applicable entries rather than
-    aborting the suite.
+    aborting the suite: a checker that raises gets one for each statement
+    it owns, with the same error.
 
     |2A+kA| is folded once, up front, and shared. The basic, four,
     full/semi-full and main-small checkers all fold exactly it; if the
@@ -442,13 +435,15 @@ def check_suite(a: IntSet, k: int):
     normalized = canon != a
     reports = []
 
-    def run(statement_id, fn):
+    def run(statement_ids, fn):
         try:
-            out = fn()
+            reports.extend(fn())
         except DilatesError as err:
-            reports.append(_na_report(statement_id, err))
-            return
-        reports.extend(out if isinstance(out, tuple) else (out,))
+            reports.extend(
+                _report(s, GE, None, None, {"checker_ran": False},
+                        detail={"error": str(err)})
+                for s in statement_ids
+            )
 
     try:
         folded, fold_error = _pair_size(2, a, k, a), None
@@ -465,11 +460,11 @@ def check_suite(a: IntSet, k: int):
         note = {"canonicalized": normalized}
         return tuple(replace(r, detail={**r.detail, **note}) for r in canon_reports)
 
-    run("basic_bound", lambda: _bound_basic(a, a, 2, k, size))
-    run("four_bound", lambda: _bound_four(a, 2, k, size))
-    run("full_semifull_bound", lambda: _bound_full_semifull(a, k, size))
-    run("marginal_total_bound", lambda: bound_marginal_total(a, k))
-    run("main_small_bound", lambda: _bound_main_small(a, k, size))
+    run(("basic_bound",), lambda: (_bound_basic(a, a, 2, k, size),))
+    run(("four_bound",), lambda: (_bound_four(a, 2, k, size),))
+    run(("full_semifull_bound",), lambda: (_bound_full_semifull(a, k, size),))
+    run(("marginal_total_bound",), lambda: (bound_marginal_total(a, k),))
+    run(("main_small_bound",), lambda: (_bound_main_small(a, k, size),))
 
     def canon_size():
         if fold_error is not None:
@@ -477,13 +472,15 @@ def check_suite(a: IntSet, k: int):
         _fold_guard(((2, canon.elements), (k, canon.elements)))
         return folded
 
-    run("main_large_strict", lambda: noted(*_bound_main_large(canon, k, canon_size)))
+    run(("main_large_strict", "main_large_bound"),
+        lambda: noted(*_bound_main_large(canon, k, canon_size)))
 
-    blocks = decompose(canon, k).blocks
+    blocks = decompose(canon, k)
     for residue, block in blocks.items():
         if len(blocks) < 2 or component_count(block, k * k) >= k:
             continue
-        run("faithful_component", lambda r=residue: noted(check_faithful(canon, k, r)))
+        run(("faithful_component",),
+            lambda r=residue: noted(check_faithful(canon, k, r)))
 
     reports.sort(key=lambda r: (r.statement_id, r.detail.get("residue", -1)))
     return reports

@@ -22,21 +22,17 @@ from .intset import DilateSpec, IntSet, dilate_sum
 from .search import SearchConfig, conjecture_probe, min_dilate_sum
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _parse_ints(text, flag):
     try:
         return [int(p) for p in text.split(",")]
     except ValueError:
-        raise _UsageError(f"{flag} expects comma-separated integers, got {text!r}")
+        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}")
 
 
 def _parse_set(text):
     values = _parse_ints(text, "--set")
     if len(values) != len(set(values)):
-        raise _UsageError(f"--set contains duplicate elements: {text!r}")
+        raise ValueError(f"--set contains duplicate elements: {text!r}")
     return IntSet(values)
 
 
@@ -113,7 +109,7 @@ def _cmd_search(args):
         reflection_quotient=not args.no_reflect,
     )
     if args.threads < 1:
-        raise _UsageError(f"--threads must be >= 1, got {args.threads}")
+        raise ValueError(f"--threads must be >= 1, got {args.threads}")
     result = min_dilate_sum(config)
     results = result.to_payload()
     results["caveats"] = _search_caveats(result, args.range)
@@ -135,7 +131,7 @@ def _cmd_search(args):
 
 def _cmd_probe(args):
     if args.n_from > args.n_to:
-        raise _UsageError("--n-from must not exceed --n-to")
+        raise ValueError("--n-from must not exceed --n-to")
     spec = _parse_coeffs(args.coeffs)
     rows = conjecture_probe(spec, range(args.n_from, args.n_to + 1), args.range)
     if args.csv:
@@ -249,7 +245,8 @@ def _build_parser():
     return parser
 
 
-def dispatch(argv) -> int:
+def main(argv=None) -> int:
+    """Run one subcommand; ``argv`` defaults to ``sys.argv[1:]``."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -260,10 +257,6 @@ def dispatch(argv) -> int:
     except ArithmeticRangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (_UsageError, DilatesError, ValueError) as exc:
+    except (DilatesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv=None) -> int:
-    return dispatch(sys.argv[1:] if argv is None else argv)

@@ -19,18 +19,40 @@ from .intset import IntSet, dilate, minkowski_sum
 from .backend import INT64_MAX, check_int64
 
 
-def is_odd_prime(k) -> bool:
-    """Trial-division primality, restricted to odd primes (so 2 fails).
+# Miller-Rabin with these bases is exact for every n below
+# 3.18e23 (Sorenson and Webster, 2015), so for every int64.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-    Anything that is not an int, such as 7.0, is not an odd prime.
+
+def is_odd_prime(k) -> bool:
+    """True when ``k`` is an odd prime (so 2 fails).
+
+    Anything that is not an int, such as 7.0, is not an odd prime; an odd
+    k above the signed 64-bit range raises ArithmeticRangeError. A k up to
+    37 or with a factor among the bases is decided at once, any other k
+    by deterministic Miller-Rabin over them: with k - 1 = d * 2**s, a base
+    p proves k composite unless p**d = 1 or p**(d * 2**i) = -1 (mod k)
+    for some i < s.
     """
     if not isinstance(k, int) or k < 3 or k % 2 == 0:
         return False
-    d = 3
-    while d * d <= k:
-        if k % d == 0:
+    if k <= _MR_BASES[-1]:
+        return k in _MR_BASES
+    check_int64(k, "modulus")
+    if any(k % p == 0 for p in _MR_BASES):
+        return False
+    s = ((k - 1) & (1 - k)).bit_length() - 1
+    d = (k - 1) >> s
+    for p in _MR_BASES:
+        x = pow(p, d, k)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == k - 1:
+                break
+            x = x * x % k
+        else:
             return False
-        d += 2
     return True
 
 
@@ -44,29 +66,14 @@ def _require_odd_prime(k):
         raise InvalidModulusError(f"k must be an odd prime, got {k!r}")
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    """Partition of a set into its components modulo ``modulus``."""
-
-    modulus: int
-    blocks: dict  # residue -> IntSet, ascending residue order
-
-    @property
-    def component_count(self):
-        return len(self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks.values())
-
-
-def decompose(a: IntSet, n: int) -> Decomposition:
-    """Split ``a`` into its components modulo n (n >= 2)."""
+def decompose(a: IntSet, n: int) -> dict:
+    """Components of ``a`` modulo n (n >= 2), as {residue: IntSet} in
+    ascending residue order."""
     _require_modulus(n)
     buckets = {}
     for x in a:
         buckets.setdefault(x % n, []).append(x)
-    blocks = {r: IntSet._wrap(tuple(buckets[r])) for r in sorted(buckets)}
-    return Decomposition(modulus=n, blocks=blocks)
+    return {r: IntSet._wrap(tuple(buckets[r])) for r in sorted(buckets)}
 
 
 def component_count(a: IntSet, n: int) -> int:
@@ -86,7 +93,7 @@ def is_semi_full(a: IntSet, n: int) -> bool:
     _require_modulus(n)
     if n * n > INT64_MAX:
         raise ArithmeticRangeError(f"n**2 overflows for n={n}")
-    return all(component_count(c, n * n) == n for c in decompose(a, n))
+    return all(component_count(c, n * n) == n for c in decompose(a, n).values())
 
 
 def _checked_component(c: IntSet, a: IntSet, k: int):
@@ -189,8 +196,9 @@ def stabilizer(x, m: int):
     """Translations g of Z/mZ with g + X = X, as a sorted residue tuple.
 
     Always contains 0 and is a subgroup, so its size divides both |X|
-    and m. Residues are coerced with ``operator.index``, so a float
-    raises TypeError.
+    and m. A period g maps min X to some e in X, so g = e - min X and only
+    those |X| candidates are tested. Residues are coerced with
+    ``operator.index``, so a float raises TypeError.
     """
     _require_modulus(m)
     xs = frozenset(map(operator.index, x))
@@ -199,6 +207,6 @@ def stabilizer(x, m: int):
     for e in xs:
         if not (0 <= e < m):
             raise ValueError(f"residue {e} outside [0, {m})")
-    return tuple(
-        g for g in range(m) if frozenset((g + e) % m for e in xs) == xs
-    )
+    lo = min(xs)
+    candidates = sorted(e - lo for e in xs)
+    return tuple(g for g in candidates if frozenset((g + e) % m for e in xs) == xs)

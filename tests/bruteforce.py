@@ -6,6 +6,7 @@ Expected values frozen into the tests were computed with these functions.
 """
 
 from itertools import product
+from math import isqrt
 
 
 def naive_sumset(a, b):
@@ -37,6 +38,19 @@ def naive_marginal(c_elems, a_elems, k):
     big = set(naive_fold([(2, c_elems), (k, a_elems)]))
     small = set(naive_fold([(2, c_elems), (k, c_elems)]))
     return sorted(big - small)
+
+
+def naive_is_odd_prime(k):
+    """Trial division by every odd d with d*d <= k."""
+    if k < 3 or k % 2 == 0:
+        return False
+    return all(k % d for d in range(3, isqrt(k) + 1, 2))
+
+
+def naive_stabilizer(x, m):
+    """Every translation g of Z/mZ with g + X = X."""
+    xs = set(x)
+    return tuple(g for g in range(m) if {(g + e) % m for e in xs} == xs)
 
 
 def naive_canonical_family(cardinality, range_max, reflect=True):

@@ -86,7 +86,7 @@ def test_criterion_2_exhaustive_soundness_sweep():
                 note(a, bound_four(a, n, m))
             for k in (3, 5, 7):
                 note(a, bound_marginal_total(a, k))
-            for residue, block in decompose(a, 3).blocks.items():
+            for residue, block in decompose(a, 3).items():
                 if component_count(block, 9) < 3 and component_count(a, 3) >= 2:
                     note(a, check_faithful(a, 3, residue))
             for k in (3, 5):

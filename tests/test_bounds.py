@@ -1,3 +1,7 @@
+import importlib.util
+import json
+import os
+
 import pytest
 
 import dilates.bounds
@@ -449,6 +453,8 @@ class TestCheckSuite:
                     ("faithful_component", "holds", 2, 2, None),
                     ("four_bound", "holds", 9, 8, None),
                     ("full_semifull_bound", "not-applicable", 9, None, None),
+                    ("main_large_bound", "not-applicable", None, None,
+                     "dilate-sum envelope 11529215046068469760 exceeds the signed 64-bit range"),
                     ("main_large_strict", "not-applicable", None, None,
                      "dilate-sum envelope 11529215046068469760 exceeds the signed 64-bit range"),
                     ("main_small_bound", "holds", 9, -21, None),
@@ -468,20 +474,44 @@ class TestCheckSuite:
         # constants for k = 17 overflow; the suite degrades, not aborts
         reports = check_suite(IntSet([0, 1, 2]), 17)
         by_id = {r.statement_id: r for r in reports}
-        assert by_id["main_small_bound"].to_record() == {
-            "statement_id": "main_small_bound",
-            "hypotheses_met": False,
-            "lhs": None,
-            "rhs": None,
-            "slack": None,
-            "verdict": "not-applicable",
-            "relation": ">=",
-            "hypotheses": {"checker_ran": False},
-            "detail": {
-                "error": "bound constants for k=17 exceed the signed 64-bit range "
-                         "(largest supported odd prime is 13)"
-            },
-        }
+        # The large-set checker owns two statements; each gets its entry.
+        for statement_id in ("main_small_bound", "main_large_strict", "main_large_bound"):
+            assert by_id[statement_id].to_record() == {
+                "statement_id": statement_id,
+                "hypotheses_met": False,
+                "lhs": None,
+                "rhs": None,
+                "slack": None,
+                "verdict": "not-applicable",
+                "relation": ">=",
+                "hypotheses": {"checker_ran": False},
+                "detail": {
+                    "error": "bound constants for k=17 exceed the signed 64-bit range "
+                             "(largest supported odd prime is 13)"
+                },
+            }
+
+
+def test_check_pool_records_pinned():
+    """One pool member per stratum of the benchmark's check workload
+    (member ``stratum % 8``) gives records with the pinned digest."""
+    perfbench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(perfbench, "workloads.py")
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    with open(os.path.join(perfbench, "pins.json")) as f:
+        pins = json.load(f)["check"]
+    assert len(workloads.CHECK_STRATA) == 44
+    mismatched = []
+    for stratum in range(len(workloads.CHECK_STRATA)):
+        member = stratum % workloads.MEMBERS
+        elems, k = workloads.check_member(stratum, member)
+        records = workloads.records_json(check_suite(IntSet(elems), k))
+        if workloads.digest(records) != pins[f"{stratum}:{member}"]:
+            mismatched.append(f"{stratum}:{member}")
+    assert mismatched == []
 
 
 def test_small_soundness_sweep():

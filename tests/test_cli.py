@@ -379,26 +379,23 @@ def test_check_exit_code_contract():
         hypotheses_met=True,
         lhs=1,
         rhs=2,
-        slack=-1,
-        holds=False,
     )
     assert failing.verdict == "fails"
+    assert (failing.slack, failing.holds) == (-1, False)
     holding = BoundReport(
         statement_id="basic_bound",
         hypotheses_met=True,
         lhs=2,
         rhs=2,
-        slack=0,
-        holds=True,
     )
+    assert (holding.slack, holding.holds) == (0, True)
     na = BoundReport(
         statement_id="basic_bound",
         hypotheses_met=False,
         lhs=None,
         rhs=None,
-        slack=None,
-        holds=None,
     )
+    assert (na.slack, na.holds) == (None, None)
     exit_code = 1 if any(r.verdict == "fails" for r in (holding, na, failing)) else 0
     assert exit_code == 1
     exit_code = 1 if any(r.verdict == "fails" for r in (holding, na)) else 0

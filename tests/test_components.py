@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -22,7 +23,13 @@ from dilates import (
 from dilates import backend, components
 from dilates.backend import INT64_MAX
 
-from bruteforce import naive_canonical_family, naive_components, naive_marginal
+from bruteforce import (
+    naive_canonical_family,
+    naive_components,
+    naive_is_odd_prime,
+    naive_marginal,
+    naive_stabilizer,
+)
 
 
 def test_is_odd_prime():
@@ -34,32 +41,59 @@ def test_is_odd_prime():
     assert not is_odd_prime(7.5)
 
 
+class TestIsOddPrime:
+    def test_matches_trial_division(self):
+        for k in range(-5, 2 * 10**5):
+            assert is_odd_prime(k) == naive_is_odd_prime(k), k
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            561, 1105, 1729,  # Carmichael numbers
+            2047, 3215031751, 3825123056546413051,  # strong pseudoprimes
+        ],
+    )
+    def test_pseudoprimes_rejected(self, k):
+        assert not is_odd_prime(k)
+
+    def test_largest_int64_prime_fast(self):
+        start = time.perf_counter()
+        assert is_odd_prime(9223372036854775783)
+        assert not is_odd_prime(9223372036854775781)
+        assert time.perf_counter() - start < 1.0
+
+    def test_refuses_odd_k_outside_int64(self):
+        with pytest.raises(ArithmeticRangeError, match="modulus"):
+            is_odd_prime(INT64_MAX + 2)
+        assert not is_odd_prime(INT64_MAX + 1)
+
+
 class TestDecompose:
     def test_all_residues(self):
         d = decompose(IntSet([0, 1, 2]), 3)
-        assert {r: list(b.elements) for r, b in d.blocks.items()} == {
+        assert {r: list(b.elements) for r, b in d.items()} == {
             0: [0],
             1: [1],
             2: [2],
         }
-        assert d.component_count == 3
+        assert len(d) == 3
 
     def test_single_class(self):
         d = decompose(IntSet([0, 3, 6]), 3)
-        assert tuple(d.blocks) == (0,)
-        assert d.blocks[0].elements == (0, 3, 6)
-        assert d.component_count == 1
+        assert tuple(d) == (0,)
+        assert d[0].elements == (0, 3, 6)
+        assert len(d) == 1
 
     def test_parity_split(self):
         d = decompose(IntSet([0, 1, 3]), 2)
-        assert {r: list(b.elements) for r, b in d.blocks.items()} == {
+        assert {r: list(b.elements) for r, b in d.items()} == {
             0: [0],
             1: [1, 3],
         }
 
     def test_negative_elements_normalize(self):
         d = decompose(IntSet([-4, -1, 2]), 3)
-        assert tuple(d.blocks) == (2,)
+        assert tuple(d) == (2,)
 
     def test_invalid_modulus(self):
         with pytest.raises(InvalidModulusError):
@@ -74,7 +108,8 @@ class TestDecompose:
             n = rng.randint(2, 7)
             d = decompose(IntSet(elems), n)
             expected = naive_components(elems, n)
-            assert {r: list(b.elements) for r, b in d.blocks.items()} == expected
+            assert {r: list(b.elements) for r, b in d.items()} == expected
+            assert list(d) == sorted(d)
 
 
 class TestFullness:
@@ -128,7 +163,7 @@ class TestMarginalSet:
         for a in map(IntSet, naive_canonical_family(3, 9, reflect=False)):
             for k in (3, 5):
                 inner_union = set()
-                for c in decompose(a, k):
+                for c in decompose(a, k).values():
                     m = set(marginal_set(c, a, k))
                     small = minkowski_sum(dilate(c, 2), dilate(c, k))
                     big = minkowski_sum(dilate(c, 2), dilate(a, k))
@@ -142,7 +177,7 @@ class TestMarginalSet:
             elems = sorted(rng.sample(range(0, 40), rng.randint(2, 8)))
             a = IntSet(elems)
             for k in (2, 3, 4, 5, 7, 9):
-                for c in decompose(a, k):
+                for c in decompose(a, k).values():
                     expected = naive_marginal(c.elements, elems, k)
                     assert list(marginal_set(c, a, k)) == expected
                     assert list(marginal_split(c, a, k).merged) == expected
@@ -155,13 +190,13 @@ def _set_with_reduced_span(rng, k, target, size):
     while True:
         base = rng.sample(range(target // 3), size - 1)
         a0 = IntSet(base)
-        c = rng.choice(list(decompose(a0, k)))
+        c = rng.choice(list(decompose(a0, k).values()))
         top = a0.max + target - _reduced_span(c, a0, k)
         if top <= a0.max or top % k == c.min % k:
             continue
         shift = rng.choice([0, -top, -top // 2, rng.randint(-10**6, 10**6)])
         a = IntSet(x + shift for x in base + [top])
-        return a, decompose(a, k).blocks[(c.min + shift) % k]
+        return a, decompose(a, k)[(c.min + shift) % k]
 
 
 def _reduced_span(c, a, k):
@@ -219,7 +254,7 @@ class TestMarginalRoutes:
             span = rng.choice([n, 3 * n, 200, 10**4, 10**6])
             lo = rng.choice([0, -span, -span // 2, rng.randint(-10**9, 10**9)])
             a = IntSet(rng.randint(lo, lo + span) for _ in range(n))
-            for c in decompose(a, k):
+            for c in decompose(a, k).values():
                 self._assert_oracle(c, a, k)
         assert merges  # the sparse draws took the merge route
 
@@ -251,7 +286,7 @@ class TestMarginalRoutes:
         # Messages as the merge-only implementation raised them.
         a = IntSet(elems)
         got = []
-        for c in decompose(a, 3):
+        for c in decompose(a, 3).values():
             with pytest.raises(ArithmeticRangeError) as err:
                 marginal_set(c, a, 3)
             got.append(str(err.value))
@@ -260,7 +295,7 @@ class TestMarginalRoutes:
     def test_near_int64_sparse_set_fits(self):
         top = INT64_MAX // 5
         a = IntSet([top - 10**6, top - 5 * 10**5, top])
-        assert [marginal_set(c, a, 3) for c in decompose(a, 3)] == [
+        assert [marginal_set(c, a, 3) for c in decompose(a, 3).values()] == [
             (9223372036851275805, 9223372036852775805),
             (9223372036851775805, 9223372036853275805),
             (9223372036850775805, 9223372036853775805),
@@ -285,7 +320,7 @@ class TestMarginalSplit:
         # not need the |C|^2-pair merge of 2*C + k*C either.
         monkeypatch.setattr(backend, "MERGE_PAIR_LIMIT", 10)
         a = IntSet(range(-30, 31))
-        for c in decompose(a, 3):
+        for c in decompose(a, 3).values():
             split = marginal_split(c, a, 3)
             assert split.merged == tuple(naive_marginal(c.elements, a.elements, 3))
 
@@ -294,7 +329,7 @@ class TestMarginalSplit:
         for _ in range(30):
             elems = sorted(rng.sample(range(0, 35), rng.randint(2, 7)))
             a = IntSet(elems)
-            for c in decompose(a, 3):
+            for c in decompose(a, 3).values():
                 split = marginal_split(c, a, 3)
                 assert split.merged == marginal_set(c, a, 3)
                 parts = (set(split.low), set(split.interior), set(split.high))
@@ -306,7 +341,7 @@ def test_component_pieces_disjoint_modulo():
     bs = [IntSet([0, 1]), IntSet([0, 2, 7]), IntSet([1, 4, 5, 9])]
     for a in map(IntSet, naive_canonical_family(4, 8, reflect=False)):
         for n, m in [(2, 3), (3, 4), (2, 5)]:
-            blocks = list(decompose(a, m))
+            blocks = list(decompose(a, m).values())
             for b in bs:
                 pieces = [
                     set(minkowski_sum(dilate(c, n), dilate(b, m)).elements)
@@ -322,6 +357,23 @@ class TestStabilizer:
         assert stabilizer([0, 3, 6], 9) == (0, 3, 6)
         assert stabilizer([0, 1], 9) == (0,)
         assert stabilizer(range(9), 9) == tuple(range(9))
+
+    def test_matches_full_scan(self):
+        """Same tuple as testing every translation of Z/mZ."""
+        rng = random.Random(23)
+        for m in range(2, 60):
+            for _ in range(20):
+                x = rng.sample(range(m), rng.randint(1, m))
+                assert stabilizer(x, m) == naive_stabilizer(x, m), (x, m)
+            for d in (d for d in range(1, m + 1) if m % d == 0):
+                # A union of cosets of the subgroup of order m // d.
+                base = rng.sample(range(d), rng.randint(1, d))
+                x = [b + d * j for b in base for j in range(m // d)]
+                assert stabilizer(x, m) == naive_stabilizer(x, m), (x, m)
+
+    def test_large_modulus(self):
+        assert stabilizer([0, 1], 10**12) == (0,)
+        assert stabilizer([5, 5 + 10**12 // 2], 10**12) == (0, 10**12 // 2)
 
     def test_validates(self):
         with pytest.raises(ValueError):
