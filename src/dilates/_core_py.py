@@ -4,8 +4,21 @@ A bitmask is a Python int read against a base: bit p marks the value
 base + p. This module is the only one that builds or reads such masks;
 dispatch and all 64-bit precondition checks live in ``backend``. Plain
 Python ints make every result exact regardless of operand size.
+
+A fold's first term is written into a bytearray in one pass and turned
+into an int once; each later term ORs one shifted copy of the running
+mask per element. ``bitset_fold_size`` counts by residue class: it splits
+off the term c*S whose removal leaves the largest gcd g of the other
+coefficients, so every sum is c*x + g*y with y in the other terms' fold
+Y divided by g. Writing c*x = g*q + r with 0 <= r < g, two sums are equal
+exactly when their r agree and so do their q + y. Hence the size is the
+sum, over the classes r, of |Q_r + Y|: one mask of Y, shifted by each q
+of the class, on about 1/g of the span of the whole fold. For 2A+kA the
+split term is 2A and g = k, the paper's decomposition of A mod k.
 """
 
+import math
+from collections import defaultdict
 from itertools import compress
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -21,11 +34,18 @@ def fold_mask(coeffs, sets):
 
     base is the smallest sum. Each term ORs one copy of the running mask
     per element, shifted by the element's distance c*(x - lo) from the
-    term's smallest dilate c*lo, which is never negative.
+    term's smallest dilate c*lo, which is never negative. The first
+    term's mask is those distances' bits, set in a bytearray in one pass.
     """
-    base = 0
-    mask = 1
-    for c, elems in zip(coeffs, sets):
+    c, elems = coeffs[0], sets[0]
+    lo = elems[0] if c > 0 else elems[-1]
+    buf = bytearray(abs(c) * (elems[-1] - elems[0]) // 8 + 1)
+    for x in elems:
+        p = c * (x - lo)
+        buf[p >> 3] |= 1 << (p & 7)
+    base = c * lo
+    mask = int.from_bytes(buf, "little")
+    for c, elems in zip(coeffs[1:], sets[1:]):
         lo = elems[0] if c > 0 else elems[-1]
         base += c * lo
         nxt = 0
@@ -36,8 +56,37 @@ def fold_mask(coeffs, sets):
 
 
 def bitset_fold_size(coeffs, sets):
-    """Size of c0*S0 + c1*S1 + ..., the popcount of fold_mask."""
-    return fold_mask(coeffs, sets)[1].bit_count()
+    """Size of c0*S0 + c1*S1 + ..., counted per residue class.
+
+    The split term is the one whose removal leaves the largest gcd g of
+    the other coefficients (the last such term; g is taken as 1 when it
+    is 0 or 1, which is the plain fold). The other terms, their
+    coefficients divided by g, are folded once into a mask of Y; the
+    split term's elements are grouped by c*x = g*q + r, and each class
+    ORs the mask of Y shifted by q - min q. The size is the sum of the
+    class popcounts (the argument is in the module docstring).
+    """
+    split, g = 0, 0
+    for j in range(len(coeffs)):
+        gj = math.gcd(*coeffs[:j], *coeffs[j + 1:])
+        if gj >= g:
+            split, g = j, gj
+    g = max(g, 1)
+    rest = [(c // g, s) for j, (c, s) in enumerate(zip(coeffs, sets)) if j != split]
+    mask = fold_mask(*zip(*rest))[1] if rest else 1
+    c = coeffs[split]
+    classes = defaultdict(list)
+    for x in sets[split]:
+        q, r = divmod(c * x, g)
+        classes[r].append(q)
+    size = 0
+    for qs in classes.values():
+        lo = min(qs)
+        nxt = 0
+        for q in qs:
+            nxt |= mask << q - lo
+        size += nxt.bit_count()
+    return size
 
 
 def mask_elements(base, mask, step=1):
