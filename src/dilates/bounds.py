@@ -417,7 +417,9 @@ def check_suite(a: IntSet, k: int):
     canonical representative (size-invariant), and their reports record
     that. Per-checker errors become not-applicable entries rather than
     aborting the suite: a checker that raises gets one for each statement
-    it owns, with the same error.
+    it owns, with the same error. A faithful-component check that raises
+    still records its residue and the canonicalized note, so it sorts
+    among the other components' records.
 
     |2A+kA| is folded once, up front, and shared. The basic, four,
     full/semi-full and main-small checkers all fold exactly it; if the
@@ -435,13 +437,13 @@ def check_suite(a: IntSet, k: int):
     normalized = canon != a
     reports = []
 
-    def run(statement_ids, fn):
+    def run(statement_ids, fn, **context):
         try:
             reports.extend(fn())
         except DilatesError as err:
             reports.extend(
                 _report(s, GE, None, None, {"checker_ran": False},
-                        detail={"error": str(err)})
+                        detail={**context, "error": str(err)})
                 for s in statement_ids
             )
 
@@ -480,7 +482,8 @@ def check_suite(a: IntSet, k: int):
         if len(blocks) < 2 or component_count(block, k * k) >= k:
             continue
         run(("faithful_component",),
-            lambda r=residue: noted(check_faithful(canon, k, r)))
+            lambda r=residue: noted(check_faithful(canon, k, r)),
+            residue=residue, canonicalized=normalized)
 
     reports.sort(key=lambda r: (r.statement_id, r.detail.get("residue", -1)))
     return reports

@@ -128,18 +128,21 @@ def marginal_set(c: IntSet, a: IntSet, k: int):
     (A + 2*(Q - min Q) and C + 2*(Q - min Q)), aligned at min A, and the
     marginal set is ``big & ~small``, read out without a Python loop over
     the bits. Otherwise the pairwise merge runs. A bitmask costs |C|
-    shifts of the whole reduced span whatever |A| is, so on sparse sets (uniform sets of a few hundred elements
-    over spans of 1e5-1e6) it loses to the merge's |C|*|A| sums. On the
-    44 sets of one pass of the benchmark's check workload, check_suite
-    took 4.9 s of CPU with the merge everywhere, 5.4 s with bitmasks
-    everywhere, and 2.2, 1.9 and 2.7 s with this rule at 8, 16 and 64
-    words per element (pure backend, fastest of three passes, 2-CPU
-    shared host). Folding both masks with fold_mask measured no slower
-    than writing mask(A) and mask(C) from binary digits: a median of
-    1.230 s of CPU per check_suite pass against 1.244 s on one set per
-    stratum and 1.230 s against 1.228 s on another (21 passes each). Both
-    routes give the same tuple and raise the same ArithmeticRangeError on
-    the same inputs.
+    shifts of the whole reduced span whatever |A| is, so on sparse sets
+    (uniform sets of a few hundred elements over spans of 1e5-1e6) it
+    loses to the merge's |C|*|A| sums. The timings that follow were
+    measured while fold_mask still built its first term with one OR per
+    element and |2A+kA| was folded as one mask. On the 44 sets of one
+    pass of the benchmark's check workload, check_suite took 4.9 s of CPU
+    with the merge everywhere, 5.4 s with bitmasks everywhere, and 2.2,
+    1.9 and 2.7 s with this rule at 8, 16 and 64 words per element (pure
+    backend, fastest of three passes, 2-CPU shared host). Folding both
+    masks with fold_mask measured no slower than writing mask(A) and
+    mask(C) from binary digits: a median of 1.230 s of CPU per
+    check_suite pass against 1.244 s on one set per stratum and 1.230 s
+    against 1.228 s on another (21 passes each). Both routes give the
+    same tuple and raise the same ArithmeticRangeError on the same
+    inputs.
     """
     _checked_component(c, a, k)
     q_span = (c.max - c.min) // k

@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dilates import _core_py, backend
 from dilates.backend import fold_elements, fold_size, sumset, use_backend
+from dilates.bounds import ap_recompute
 from dilates.errors import ArithmeticRangeError, MergeLimitError
 from dilates.intset import IntSet, dilate_sum, minkowski_sum
 
@@ -170,3 +171,52 @@ def test_fold_routes_match_oracle(terms):
         assert list(fold_elements(terms)) == expected
         mp.setattr(backend, "BITSET_SPAN_LIMIT", 0)
         assert list(fold_elements(terms)) == expected
+
+
+def test_sparse_fold_size_calls_one_kernel(monkeypatch):
+    # A span of 9e6 bits stays on the bitmask route: one kernel call, with
+    # the class split done inside it.
+    elems = tuple(range(0, 10**6, 10**4))
+    log = _KernelLog()
+    monkeypatch.setattr(backend, "_impl", log)
+    assert fold_size(((2, elems), (7, elems))) == len(naive_fold([(2, elems), (7, elems)]))
+    assert log.names == ["bitset_fold_size"]
+
+
+# Coefficients whose gcds, with one term split off, are 0 (a single term),
+# 1 and above 1.
+kernel_coeffs = st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12]).flatmap(
+    lambda c: st.sampled_from([c, -c])
+)
+kernel_sets = st.sets(st.integers(-40, 40), min_size=1, max_size=7).map(
+    lambda s: tuple(sorted(s))
+)
+
+
+@given(st.lists(st.tuples(kernel_coeffs, kernel_sets), min_size=1, max_size=4))
+@settings(max_examples=300)
+@example([(-3, (-5, 0, 7))])  # one term: no other coefficient, g = 0
+@example([(1, (-4, 0, 3)), (-1, (2, 5)), (2, (-1, 6))])  # g = 1
+@example([(-2, (-7, -3, 0, 4)), (3, (-2, 9))])  # negative split term, g = 3
+@example([(2, tuple(range(9))), (9, (0, 5))])  # one element per class mod 9
+@example([(12, (5,)), (8, (-3,)), (-6, (0, 1))])  # singletons, g = 4
+@example([(6, (-2, 0, 3)), (-9, (1, 4)), (12, (-5, 5)), (-8, (0, 7))])
+def test_kernels_match_oracle(terms):
+    coeffs = tuple(c for c, _ in terms)
+    sets = tuple(e for _, e in terms)
+    expected = naive_fold(terms)
+    assert _core_py.bitset_fold_size(coeffs, sets) == len(expected)
+    base, mask = _core_py.fold_mask(coeffs, sets)
+    assert base == expected[0]
+    assert list(_core_py.mask_elements(base, mask)) == expected
+
+
+@pytest.mark.parametrize("k", [3, 4, 7, 13])
+def test_kernels_read_ranges(k):
+    # ap_recompute hands the kernels range(n), not a tuple.
+    for n in range(1, 3 * k):
+        p = range(n)
+        expected = naive_fold([(2, p), (k, p)])
+        assert _core_py.bitset_fold_size((2, k), (p, p)) == len(expected)
+        assert list(_core_py.mask_elements(*_core_py.fold_mask((2, k), (p, p)))) == expected
+        assert ap_recompute(n, k) == len(expected)

@@ -448,9 +448,9 @@ class TestCheckSuite:
                 [-(2**60), 1, 2**60],
                 [
                     ("basic_bound", "holds", 9, 8, None),
+                    ("faithful_component", "holds", 2, 2, None),
                     ("faithful_component", "not-applicable", None, None,
                      "sumset maximum 11529215046068469760 is outside the signed 64-bit range"),
-                    ("faithful_component", "holds", 2, 2, None),
                     ("four_bound", "holds", 9, 8, None),
                     ("full_semifull_bound", "not-applicable", 9, None, None),
                     ("main_large_bound", "not-applicable", None, None,
@@ -469,6 +469,28 @@ class TestCheckSuite:
             for r in check_suite(IntSet(elems), 3)
         ]
         assert got == expected
+
+    def test_raised_faithful_check_keeps_residue(self):
+        # The canonical set {0, 2^60 + 1, 2^61} at k = 3: the component at
+        # residue 2 leaves int64 in its marginal set, the one at 0 fits.
+        reports = check_suite(IntSet([-(2**60), 1, 2**60]), 3)
+        faithful = [r for r in reports if r.statement_id == "faithful_component"]
+        assert [r.detail["residue"] for r in faithful] == [0, 2]
+        assert faithful[1].to_record() == {
+            "statement_id": "faithful_component",
+            "hypotheses_met": False,
+            "lhs": None,
+            "rhs": None,
+            "slack": None,
+            "verdict": "not-applicable",
+            "relation": ">=",
+            "hypotheses": {"checker_ran": False},
+            "detail": {
+                "residue": 2,
+                "canonicalized": True,
+                "error": "sumset maximum 11529215046068469760 is outside the signed 64-bit range",
+            },
+        }
 
     def test_large_prime_becomes_not_applicable(self):
         # constants for k = 17 overflow; the suite degrades, not aborts
