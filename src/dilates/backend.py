@@ -7,7 +7,8 @@ they can be replaced as one unit:
     bitset_fold_size(coeffs, sets)  -> |c0*S0 + c1*S1 + ...|, summed over
                                        the classes c*x mod g of the term
                                        c*S leaving the largest gcd g of
-                                       the other coefficients
+                                       the other coefficients (one class
+                                       when g <= 1)
     fold_mask(coeffs, sets)         -> (base, bitmask) of the same fold,
                                        its first term set in one pass
     mask_elements(base, mask, step) -> base + step*p over set bits p
