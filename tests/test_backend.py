@@ -199,8 +199,8 @@ kernel_sets = st.sets(st.integers(-40, 40), min_size=1, max_size=7).map(
 @example([(1, (-4, 0, 3)), (-1, (2, 5)), (2, (-1, 6))])  # g = 1
 @example([(-2, (-7, -3, 0, 4)), (3, (-2, 9))])  # negative split term, g = 3
 @example([(2, tuple(range(9))), (9, (0, 5))])  # one element per class mod 9
-@example([(12, (5,)), (8, (-3,)), (-6, (0, 1))])  # singletons, g = 4
-@example([(6, (-2, 0, 3)), (-9, (1, 4)), (12, (-5, 5)), (-8, (0, 7))])
+@example([(12, (5,)), (8, (-3,)), (-6, (0, 1))])  # singletons, g = 6
+@example([(6, (-2, 0, 3)), (-9, (1, 4)), (12, (-5, 5)), (-8, (0, 7))])  # split -8, g = 3
 def test_kernels_match_oracle(terms):
     coeffs = tuple(c for c, _ in terms)
     sets = tuple(e for _, e in terms)
