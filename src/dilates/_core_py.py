@@ -1,5 +1,8 @@
 """Kernels: the pairwise merge and the bitmask fold with its readout.
 
+The merge returns its sums as a set; callers that return elements sort
+them once.
+
 A bitmask is a Python int read against a base: bit p marks the value
 base + p. This module is the only one that builds or reads such masks;
 dispatch and all 64-bit precondition checks live in ``backend``. Plain
@@ -25,8 +28,8 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def sumset_elements(a, b):
-    """Sorted unique pairwise sums of two nonempty int sequences."""
-    return sorted({x + y for x in a for y in b})
+    """Set of the pairwise sums of two nonempty int iterables, unsorted."""
+    return {x + y for x in a for y in b}
 
 
 def fold_mask(coeffs, sets):

@@ -3,7 +3,7 @@
 The kernels live in ``_core_py`` and are called through ``_impl``, so
 they can be replaced as one unit:
 
-    sumset_elements(a, b)           -> sorted unique pairwise sums
+    sumset_elements(a, b)           -> set of pairwise sums, unsorted
     bitset_fold_size(coeffs, sets)  -> |c0*S0 + c1*S1 + ...|, summed over
                                        the classes c*x mod g of the term
                                        c*S leaving the largest gcd g of
@@ -15,7 +15,9 @@ they can be replaced as one unit:
 
 This module wraps them with the 64-bit range checks and decides per call
 whether the bitmask route (span small enough) or the exact element merge
-runs; both routes give identical answers.
+runs; both routes give identical answers. The merge route sorts only
+where elements are returned in order (``sumset`` and ``fold_elements``);
+``fold_size`` counts the merge's set.
 """
 
 import math
@@ -79,13 +81,28 @@ def sumset(a, b):
     check_int64(a[0] + b[0], "sumset minimum")
     check_int64(a[-1] + b[-1], "sumset maximum")
     _check_pairs(len(a), len(b))
-    return tuple(_impl.sumset_elements(a, b))
+    return tuple(sorted(_impl.sumset_elements(a, b)))
 
 
 def _dilated(coeff, elems):
-    if coeff > 0:
-        return [coeff * x for x in elems]
-    return [coeff * x for x in reversed(elems)]
+    return [coeff * x for x in elems]
+
+
+def _merge(terms):
+    """Unordered sums of c0*S0 + c1*S1 + ..., merged pairwise in term order.
+
+    A step that would form more than MERGE_PAIR_LIMIT pairs raises
+    MergeLimitError before it runs; the first step is checked before
+    anything of a term's size is allocated. Each step hands the kernel the
+    running set, so no step sorts.
+    """
+    if len(terms) > 1:
+        _check_pairs(len(terms[0][1]), len(terms[1][1]))
+    acc = _dilated(*terms[0])
+    for c, elems in terms[1:]:
+        _check_pairs(len(acc), len(elems))
+        acc = _impl.sumset_elements(acc, _dilated(c, elems))
+    return acc
 
 
 def _fold_guard(terms):
@@ -112,8 +129,9 @@ def _fold_guard(terms):
 def fold_size(terms):
     """Exact |c0*S0 + c1*S1 + ...| for (coefficient, sorted elements) terms.
 
-    Above BITSET_SPAN_LIMIT it counts fold_elements, so MergeLimitError
-    can be raised there.
+    Above BITSET_SPAN_LIMIT it counts the merge's set; nothing is sorted,
+    and MergeLimitError can be raised there, at the same step and with
+    the same message as from fold_elements.
     """
     terms = tuple(terms)
     span = _fold_guard(terms)
@@ -121,7 +139,7 @@ def fold_size(terms):
         coeffs = tuple(c for c, _ in terms)
         sets = tuple(e for _, e in terms)
         return _impl.bitset_fold_size(coeffs, sets)
-    return len(fold_elements(terms))
+    return len(_merge(terms))
 
 
 def fold_elements(terms):
@@ -134,9 +152,10 @@ def fold_elements(terms):
     pairs raises MergeLimitError before it runs (the first step before
     anything of a term's size is allocated). The bitmask costs one
     shift of up to span bits per element of each term, the merge one set
-    insertion per sum. Bitmask time over merge time (CPU, fastest of 3,
-    2-CPU shared host; measured while fold_mask still built its first
-    term with one OR per element) on random sets of 100 or 300 elements
+    insertion per sum and one sort of the result. Bitmask time over merge
+    time (CPU, fastest of 3, 2-CPU shared host; measured while fold_mask
+    still built its first term with one OR per element and while every
+    merge step sorted its sums) on random sets of 100 or 300 elements
     with coefficients (2, 3) or (-3, 7), and of 40 elements with (1, -2, 4):
     0.4-0.8 at 2 bits per sum, 0.6-1.2 at 4, 0.9-1.8 at 8, 1.7-2.6 at
     16 and 4.8-9.5 at 64. On the sum benchmark's dense sets it was 6.2
@@ -152,10 +171,4 @@ def fold_elements(terms):
         coeffs = tuple(c for c, _ in terms)
         sets = tuple(e for _, e in terms)
         return _impl.mask_elements(*_impl.fold_mask(coeffs, sets))
-    if len(terms) > 1:
-        _check_pairs(len(terms[0][1]), len(terms[1][1]))
-    acc = _dilated(*terms[0])
-    for c, elems in terms[1:]:
-        _check_pairs(len(acc), len(elems))
-        acc = _impl.sumset_elements(acc, _dilated(c, elems))
-    return tuple(acc)
+    return tuple(sorted(_merge(terms)))

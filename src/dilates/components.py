@@ -147,10 +147,14 @@ def marginal_set(c: IntSet, a: IntSet, k: int):
     _checked_component(c, a, k)
     q_span = (c.max - c.min) // k
     if 2 * q_span + a.span > MARGINAL_BITS_PER_ELEMENT * len(a):
-        big = minkowski_sum(dilate(c, 2), dilate(a, k))
-        small = minkowski_sum(dilate(c, 2), dilate(c, k))
-        reached = set(small.elements)
-        return tuple(x for x in big.elements if x not in reached)
+        twice_c = dilate(c, 2)
+        big = minkowski_sum(twice_c, dilate(a, k))
+        # C is a subset of A, so 2C+kC is a subset of 2C+kA: its |C|*|C|
+        # pairs, its dilates k*C and its extreme sums lie within the ones
+        # big's pair and range checks just passed. It is formed as the
+        # kernel's raw set, with no checks, IntSet or sort.
+        small = backend._impl.sumset_elements(twice_c.elements, [k * x for x in c.elements])
+        return tuple(x for x in big.elements if x not in small)
     # The merge route's range checks, on the same extremes in the same order.
     check_int64(2 * c.min, "dilated value")
     check_int64(2 * c.max, "dilated value")

@@ -184,7 +184,11 @@ def dilate_sum(a: IntSet, spec) -> IntSet:
 
 
 def dilate_sum_size(a: IntSet, spec) -> int:
-    """|dilate_sum(a, spec)| without materializing elements when avoidable."""
+    """|dilate_sum(a, spec)|, counted without sorting any elements.
+
+    A fold within the bitmask span limit is a popcount; a wider one counts
+    the pairwise merge's set of sums.
+    """
     spec = _coerce_spec(spec)
     return backend.fold_size(tuple((m, a.elements) for m in spec))
 

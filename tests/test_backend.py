@@ -35,6 +35,16 @@ def test_sumset_matches_oracle(a, b):
     assert list(sumset(a, b)) == naive_sumset(a, b)
 
 
+def test_sumset_ascends_on_negative_inputs():
+    # The merge kernel returns an unordered set; sumset sorts it.
+    a = (-1000, -257, -64, -3, 0, 12)
+    b = (-4096, -77, -1, 5, 300)
+    got = sumset(a, b)
+    assert isinstance(got, tuple)
+    assert all(x < y for x, y in zip(got, got[1:]))
+    assert list(got) == naive_sumset(a, b)
+
+
 @given(elem_sets, coeff_lists)
 @settings(max_examples=100)
 def test_fold_matches_oracle(elems, coeffs):
@@ -134,6 +144,29 @@ class _KernelLog:
         return call
 
 
+@pytest.mark.parametrize(
+    "terms, message, merged",
+    [
+        # 3 x 4 = 12 pairs merge, then 12 x 2 = 24 are refused.
+        (((1, (0, 1, 2)), (5, (0, 1, 2, 3)), (100, (0, 1))),
+         "merge of 12 x 2 elements would form 24 sums, above the limit of 12", 1),
+        # 4 x 4 = 16 pairs are refused before any merge.
+        (((1, (0, 1, 2, 3)), (5, (0, 1, 2, 3)), (100, (0, 1))),
+         "merge of 4 x 4 elements would form 16 sums, above the limit of 12", 0),
+    ],
+)
+def test_merge_refusal_same_from_size_and_elements(monkeypatch, terms, message, merged):
+    monkeypatch.setattr(backend, "MERGE_PAIR_LIMIT", 12)
+    monkeypatch.setattr(backend, "BITSET_SPAN_LIMIT", 0)
+    for entry in (fold_size, fold_elements):
+        log = _KernelLog()
+        monkeypatch.setattr(backend, "_impl", log)
+        with pytest.raises(MergeLimitError) as err:
+            entry(terms)
+        assert str(err.value) == message
+        assert log.names == ["sumset_elements"] * merged
+
+
 def test_dense_dilate_sum_takes_mask_route(monkeypatch):
     # 25M pairs, above MERGE_PAIR_LIMIT; the bitmask spans 24,996 bits.
     log = _KernelLog()
@@ -181,6 +214,39 @@ def test_sparse_fold_size_calls_one_kernel(monkeypatch):
     monkeypatch.setattr(backend, "_impl", log)
     assert fold_size(((2, elems), (7, elems))) == len(naive_fold([(2, elems), (7, elems)]))
     assert log.names == ["bitset_fold_size"]
+
+
+def test_wide_fold_size_merges_once(monkeypatch):
+    # A span of 3.5e10 bits is far above BITSET_SPAN_LIMIT: one merge, and
+    # its set is counted without any other kernel.
+    elems = (0, 10**9, 3 * 10**9, 7 * 10**9 + 1)
+    terms = ((2, elems), (-3, elems))
+    assert backend._fold_guard(terms) > backend.BITSET_SPAN_LIMIT
+    log = _KernelLog()
+    monkeypatch.setattr(backend, "_impl", log)
+    assert fold_size(terms) == len(naive_fold(terms))
+    assert log.names == ["sumset_elements"]
+
+
+merge_coeffs = st.integers(-9, 9).filter(bool)
+
+
+@given(st.lists(st.tuples(merge_coeffs, wide_sets), min_size=1, max_size=4))
+@settings(max_examples=200)
+@example([(-4, (-300, -7, 0, 299))])  # one term, negative coefficient
+@example([(5, (-3, 0, 250))])  # one term, positive coefficient
+@example([(-2, (-300, 1, 17)), (3, (-5, 40)), (-7, (0, 299)), (1, (-1, 2))])
+@example([(-1, (-300, 300)), (-1, (-299, 299))])
+def test_merge_route_matches_oracle(terms):
+    # Every fold merges: the size counts the merge's set, the elements are
+    # that set sorted once.
+    expected = naive_fold(terms)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(backend, "BITSET_SPAN_LIMIT", 0)
+        assert fold_size(terms) == len(expected)
+        got = fold_elements(terms)
+    assert list(got) == expected
+    assert all(x < y for x, y in zip(got, got[1:]))
 
 
 # Coefficients whose gcds, with one term split off, are 0 (a single term),

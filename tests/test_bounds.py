@@ -1,6 +1,3 @@
-import importlib.util
-import json
-import os
 
 import pytest
 
@@ -514,17 +511,11 @@ class TestCheckSuite:
             }
 
 
-def test_check_pool_records_pinned():
+def test_check_pool_records_pinned(perfbench_pool):
     """One pool member per stratum of the benchmark's check workload
     (member ``stratum % 8``) gives records with the pinned digest."""
-    perfbench = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", os.path.join(perfbench, "workloads.py")
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    with open(os.path.join(perfbench, "pins.json")) as f:
-        pins = json.load(f)["check"]
+    workloads, pins = perfbench_pool
+    pins = pins["check"]
     assert len(workloads.CHECK_STRATA) == 44
     mismatched = []
     for stratum in range(len(workloads.CHECK_STRATA)):

@@ -218,9 +218,18 @@ class TestMarginalRoutes:
         return calls
 
     @staticmethod
-    def _assert_oracle(c, a, k):
+    def _assert_oracle(c, a, k, merges):
+        """Check marginal_set against the oracle; True on the merge route.
+
+        The merge route forms 2C+kA with one minkowski_sum and 2C+kC as
+        the kernel's raw set, so it adds exactly one call to ``merges``.
+        """
+        merge_route = _reduced_span(c, a, k) > components.MARGINAL_BITS_PER_ELEMENT * len(a)
+        before = len(merges)
         got = marginal_set(c, a, k)
         assert list(got) == naive_marginal(c.elements, a.elements, k)
+        assert len(merges) - before == merge_route
+        return merge_route
 
     def test_word_boundary_spans(self, monkeypatch):
         merges = self._merges(monkeypatch)
@@ -230,8 +239,7 @@ class TestMarginalRoutes:
                 for _ in range(4):
                     a, c = _set_with_reduced_span(rng, k, target, rng.randint(3, 9))
                     assert _reduced_span(c, a, k) == target
-                    self._assert_oracle(c, a, k)
-        assert merges == []
+                    assert not self._assert_oracle(c, a, k, merges)
 
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     def test_route_threshold(self, monkeypatch, delta):
@@ -241,9 +249,7 @@ class TestMarginalRoutes:
             size = 4
             target = components.MARGINAL_BITS_PER_ELEMENT * size + delta
             a, c = _set_with_reduced_span(rng, k, target, size)
-            before = len(merges)
-            self._assert_oracle(c, a, k)
-            assert (len(merges) > before) == (delta > 0)
+            assert self._assert_oracle(c, a, k, merges) == (delta > 0)
 
     def test_random_both_routes(self, monkeypatch):
         merges = self._merges(monkeypatch)
@@ -255,7 +261,7 @@ class TestMarginalRoutes:
             lo = rng.choice([0, -span, -span // 2, rng.randint(-10**9, 10**9)])
             a = IntSet(rng.randint(lo, lo + span) for _ in range(n))
             for c in decompose(a, k).values():
-                self._assert_oracle(c, a, k)
+                self._assert_oracle(c, a, k, merges)
         assert merges  # the sparse draws took the merge route
 
     @pytest.mark.parametrize(

@@ -220,3 +220,30 @@ def test_affine_invariance_of_pair_sums(a, r, s, u, v):
     scaled = IntSet(u * x for x in a)
     assert len(dilate_sum(shifted, (r, s))) == base
     assert len(dilate_sum(scaled, (r, s))) == base
+
+
+def test_sum_pool_records_pinned(perfbench_pool):
+    """One pool member per stratum of the benchmark's sum workload (member
+    ``stratum % 8``), sized and materialized: both match the pinned count,
+    the elements ascend strictly and match the pinned digest, and an
+    out-of-range input is refused by both."""
+    workloads, pins = perfbench_pool
+    assert len(workloads.SUM_STRATA) == 44
+    mismatched = []
+    for stratum in range(len(workloads.SUM_STRATA)):
+        member = stratum % workloads.MEMBERS
+        _, elems, coeffs = workloads.sum_member(stratum, member)
+        a, pin = IntSet(elems), pins["sum"][f"{stratum}:{member}"]
+        if "refused" in pin:
+            for fn in (dilate_sum, dilate_sum_size):
+                with pytest.raises(ArithmeticRangeError):
+                    fn(a, coeffs)
+            continue
+        got = dilate_sum(a, coeffs).elements
+        if not (
+            dilate_sum_size(a, coeffs) == len(got) == pin["size"]
+            and all(x < y for x, y in zip(got, got[1:]))
+            and workloads.elements_digest(got) == pin["digest"]
+        ):
+            mismatched.append(f"{stratum}:{member}")
+    assert mismatched == []
