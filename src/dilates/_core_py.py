@@ -1,8 +1,5 @@
 """Kernels: the pairwise merge and the bitmask fold with its readout.
 
-The merge returns its sums as a set; callers that return elements sort
-them once.
-
 A bitmask is a Python int read against a base: bit p marks the value
 base + p. This module is the only one that builds or reads such masks;
 dispatch and all 64-bit precondition checks live in ``backend``. Plain

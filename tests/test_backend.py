@@ -31,17 +31,11 @@ coeff_lists = st.lists(
 
 @given(elem_sets, elem_sets)
 @settings(max_examples=100)
+@example((-1000, -257, -64, -3, 0, 12), (-4096, -77, -1, 5, 300))
 def test_sumset_matches_oracle(a, b):
-    assert list(sumset(a, b)) == naive_sumset(a, b)
-
-
-def test_sumset_ascends_on_negative_inputs():
     # The merge kernel returns an unordered set; sumset sorts it.
-    a = (-1000, -257, -64, -3, 0, 12)
-    b = (-4096, -77, -1, 5, 300)
     got = sumset(a, b)
     assert isinstance(got, tuple)
-    assert all(x < y for x, y in zip(got, got[1:]))
     assert list(got) == naive_sumset(a, b)
 
 
@@ -194,15 +188,22 @@ wide_sets = st.sets(st.integers(-300, 300), min_size=1, max_size=6).map(
 )
 
 
-@given(st.lists(st.tuples(st.integers(-9, 9).filter(bool), wide_sets), min_size=1, max_size=3))
-@settings(max_examples=150)
+@given(st.lists(st.tuples(st.integers(-9, 9).filter(bool), wide_sets), min_size=1, max_size=4))
+@settings(max_examples=200)
+@example([(-4, (-300, -7, 0, 299))])  # one term, negative coefficient
+@example([(5, (-3, 0, 250))])  # one term, positive coefficient
+@example([(-2, (-300, 1, 17)), (3, (-5, 40)), (-7, (0, 299)), (1, (-1, 2))])
+@example([(-1, (-300, 300)), (-1, (-299, 299))])
 def test_fold_routes_match_oracle(terms):
     expected = naive_fold(terms)
     assert list(fold_elements(terms)) == expected
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(backend, "FOLD_BITS_PER_SUM", backend.BITSET_SPAN_LIMIT)
         assert list(fold_elements(terms)) == expected
+        # Every fold with a nonzero span merges: the size counts the
+        # merge's set, the elements are that set sorted once.
         mp.setattr(backend, "BITSET_SPAN_LIMIT", 0)
+        assert fold_size(terms) == len(expected)
         assert list(fold_elements(terms)) == expected
 
 
@@ -226,27 +227,6 @@ def test_wide_fold_size_merges_once(monkeypatch):
     monkeypatch.setattr(backend, "_impl", log)
     assert fold_size(terms) == len(naive_fold(terms))
     assert log.names == ["sumset_elements"]
-
-
-merge_coeffs = st.integers(-9, 9).filter(bool)
-
-
-@given(st.lists(st.tuples(merge_coeffs, wide_sets), min_size=1, max_size=4))
-@settings(max_examples=200)
-@example([(-4, (-300, -7, 0, 299))])  # one term, negative coefficient
-@example([(5, (-3, 0, 250))])  # one term, positive coefficient
-@example([(-2, (-300, 1, 17)), (3, (-5, 40)), (-7, (0, 299)), (1, (-1, 2))])
-@example([(-1, (-300, 300)), (-1, (-299, 299))])
-def test_merge_route_matches_oracle(terms):
-    # Every fold merges: the size counts the merge's set, the elements are
-    # that set sorted once.
-    expected = naive_fold(terms)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(backend, "BITSET_SPAN_LIMIT", 0)
-        assert fold_size(terms) == len(expected)
-        got = fold_elements(terms)
-    assert list(got) == expected
-    assert all(x < y for x, y in zip(got, got[1:]))
 
 
 # Coefficients whose gcds, with one term split off, are 0 (a single term),

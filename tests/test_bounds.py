@@ -1,4 +1,3 @@
-
 import pytest
 
 import dilates.bounds
@@ -515,14 +514,13 @@ def test_check_pool_records_pinned(perfbench_pool):
     """One pool member per stratum of the benchmark's check workload
     (member ``stratum % 8``) gives records with the pinned digest."""
     workloads, pins = perfbench_pool
-    pins = pins["check"]
     assert len(workloads.CHECK_STRATA) == 44
     mismatched = []
     for stratum in range(len(workloads.CHECK_STRATA)):
         member = stratum % workloads.MEMBERS
         elems, k = workloads.check_member(stratum, member)
         records = workloads.records_json(check_suite(IntSet(elems), k))
-        if workloads.digest(records) != pins[f"{stratum}:{member}"]:
+        if workloads.digest(records) != pins["check"][f"{stratum}:{member}"]:
             mismatched.append(f"{stratum}:{member}")
     assert mismatched == []
 
