@@ -152,17 +152,11 @@ def fold_elements(terms):
     pairs raises MergeLimitError before it runs (the first step before
     anything of a term's size is allocated). The bitmask costs one
     shift of up to span bits per element of each term, the merge one set
-    insertion per sum and one sort of the result. Bitmask time over merge
-    time (CPU, fastest of 3, 2-CPU shared host; measured while fold_mask
-    still built its first term with one OR per element and while every
-    merge step sorted its sums) on random sets of 100 or 300 elements
-    with coefficients (2, 3) or (-3, 7), and of 40 elements with (1, -2, 4):
-    0.4-0.8 at 2 bits per sum, 0.6-1.2 at 4, 0.9-1.8 at 8, 1.7-2.6 at
-    16 and 4.8-9.5 at 64. On the sum benchmark's dense sets it was 6.2
-    against 38 ms (400 elements, (-2, 7), 0.6 bits per sum) and 42
-    against 90 ms (60, (2, -3, 5), 4.5 bits), but 218 against 30 ms
-    (300, (2, 3), 55 bits) and 370 against 78 ms (20, (-1, 2, 3, 5),
-    64 bits).
+    insertion per sum and one sort of the result. On random sets of
+    40-300 elements with coefficients (2, 3), (2, 5), (-3, 7) or
+    (1, -2, 4), the two cost the same at 2-4 bits per sum. A threshold of
+    3 still made the sum benchmark 3-5% slower in three runs, because its
+    dense three-term sets favour the bitmask, so the threshold stays at 8.
     """
     terms = tuple(terms)
     span = _fold_guard(terms)

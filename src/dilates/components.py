@@ -2,16 +2,12 @@
 
 A modulus-n component of A is the (nonempty) intersection of A with one
 residue class modulo n. This module builds component decompositions,
-decides the two fullness predicates, computes marginal sets of components
-under the 2*C + k*A sum, and computes translation stabilizers of residue
-sets.
+decides the two fullness predicates, and computes marginal sets of
+components under the 2*C + k*A sum.
 
 Residues are always normalized to [0, n), including for negative
 elements, so decompositions never disagree about class labels.
 """
-
-import operator
-from dataclasses import dataclass
 
 from . import backend
 from .errors import ArithmeticRangeError, InvalidComponentError, InvalidModulusError
@@ -130,19 +126,15 @@ def marginal_set(c: IntSet, a: IntSet, k: int):
     the bits. Otherwise the pairwise merge runs. A bitmask costs |C|
     shifts of the whole reduced span whatever |A| is, so on sparse sets
     (uniform sets of a few hundred elements over spans of 1e5-1e6) it
-    loses to the merge's |C|*|A| sums. The timings that follow were
-    measured while fold_mask still built its first term with one OR per
-    element and |2A+kA| was folded as one mask. On the 44 sets of one
-    pass of the benchmark's check workload, check_suite took 4.9 s of CPU
-    with the merge everywhere, 5.4 s with bitmasks everywhere, and 2.2,
-    1.9 and 2.7 s with this rule at 8, 16 and 64 words per element (pure
-    backend, fastest of three passes, 2-CPU shared host). Folding both
+    loses to the merge's |C|*|A| sums. On the 44 sets of one pass of the
+    benchmark's check workload, check_suite took 1.6-1.7 s of CPU with the
+    merge everywhere, 1.8-2.2 s with bitmasks everywhere, and 0.62-0.80,
+    0.67-0.78 and 0.84-0.88 s with this rule at 8, 16 and 64 words per
+    element (fastest of three passes, two runs, Python 3.11, 2-CPU shared
+    host), so 8 and 16 words are within the host's noise. Folding both
     masks with fold_mask measured no slower than writing mask(A) and
-    mask(C) from binary digits: a median of 1.230 s of CPU per
-    check_suite pass against 1.244 s on one set per stratum and 1.230 s
-    against 1.228 s on another (21 passes each). Both routes give the
-    same tuple and raise the same ArithmeticRangeError on the same
-    inputs.
+    mask(C) from binary digits. Both routes give the same tuple and raise
+    the same ArithmeticRangeError on the same inputs.
     """
     _checked_component(c, a, k)
     q_span = (c.max - c.min) // k
@@ -167,53 +159,3 @@ def marginal_set(c: IntSet, a: IntSet, k: int):
     small_base, small = backend._impl.fold_mask((1, 2), (c.elements, q))
     marginal = big & ~(small << (small_base - big_base))
     return backend._impl.mask_elements(base, marginal, k)
-
-
-@dataclass(frozen=True)
-class MarginalSplit:
-    """Marginal elements split against the interval of 2*c + k*c.
-
-    ``low`` falls below its minimum, ``high`` above its maximum, and
-    ``interior`` strictly between; the three parts are disjoint and their
-    union is the whole marginal set.
-    """
-
-    low: tuple
-    interior: tuple
-    high: tuple
-
-    @property
-    def merged(self):
-        return tuple(sorted(self.low + self.interior + self.high))
-
-
-def marginal_split(c: IntSet, a: IntSet, k: int) -> MarginalSplit:
-    """Three-way split of marginal_set(c, a, k) around 2*c + k*c."""
-    marginal = marginal_set(c, a, k)
-    # 2*c + k*c runs from (k+2)*min(c) to (k+2)*max(c); marginal_set has
-    # range-checked sums beyond both ends, so no merge is needed.
-    lo, hi = (k + 2) * c.min, (k + 2) * c.max
-    low = tuple(x for x in marginal if x < lo)
-    high = tuple(x for x in marginal if x > hi)
-    interior = tuple(x for x in marginal if lo < x < hi)
-    return MarginalSplit(low=low, interior=interior, high=high)
-
-
-def stabilizer(x, m: int):
-    """Translations g of Z/mZ with g + X = X, as a sorted residue tuple.
-
-    Always contains 0 and is a subgroup, so its size divides both |X|
-    and m. A period g maps min X to some e in X, so g = e - min X and only
-    those |X| candidates are tested. Residues are coerced with
-    ``operator.index``, so a float raises TypeError.
-    """
-    _require_modulus(m)
-    xs = frozenset(map(operator.index, x))
-    if not xs:
-        raise ValueError("stabilizer needs a nonempty residue set")
-    for e in xs:
-        if not (0 <= e < m):
-            raise ValueError(f"residue {e} outside [0, {m})")
-    lo = min(xs)
-    candidates = sorted(e - lo for e in xs)
-    return tuple(g for g in candidates if frozenset((g + e) % m for e in xs) == xs)

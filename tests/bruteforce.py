@@ -47,12 +47,6 @@ def naive_is_odd_prime(k):
     return all(k % d for d in range(3, isqrt(k) + 1, 2))
 
 
-def naive_stabilizer(x, m):
-    """Every translation g of Z/mZ with g + X = X."""
-    xs = set(x)
-    return tuple(g for g in range(m) if {(g + e) % m for e in xs} == xs)
-
-
 def naive_canonical_family(cardinality, range_max, reflect=True):
     """All subsets of [0, range_max] with min 0, gcd 1, given size."""
     from itertools import combinations

@@ -15,9 +15,7 @@ from dilates import (
     is_odd_prime,
     is_semi_full,
     marginal_set,
-    marginal_split,
     minkowski_sum,
-    stabilizer,
 )
 
 from dilates import backend, components
@@ -28,7 +26,6 @@ from bruteforce import (
     naive_components,
     naive_is_odd_prime,
     naive_marginal,
-    naive_stabilizer,
 )
 
 
@@ -143,21 +140,17 @@ class TestMarginalSet:
         with pytest.raises(InvalidComponentError):
             marginal_set(IntSet([3]), a, 3)
 
-    def test_requires_odd_prime(self):
-        # Any integer modulus >= 2 is accepted: the identity behind
-        # marginal_set does not need k prime.
+    def test_accepts_any_integer_modulus_from_two(self):
+        # The identity behind marginal_set does not need k prime.
         a = IntSet([0, 1, 2, 3])
         for k in (1, 0, 2.5):
             with pytest.raises(InvalidModulusError):
                 marginal_set(IntSet([0]), a, k)
-            with pytest.raises(InvalidModulusError):
-                marginal_split(IntSet([0]), a, k)
         assert list(marginal_set(IntSet([0]), a, 4)) == naive_marginal(
             [0], [0, 1, 2, 3], 4
         )
-        for fn in (marginal_set, marginal_split):
-            with pytest.raises(TypeError):
-                fn(IntSet([0]), a, 4, relax_modulus=True)
+        with pytest.raises(TypeError):
+            marginal_set(IntSet([0]), a, 4, relax_modulus=True)
 
     def test_union_and_disjointness_exhaustive(self):
         for a in map(IntSet, naive_canonical_family(3, 9, reflect=False)):
@@ -180,7 +173,6 @@ class TestMarginalSet:
                 for c in decompose(a, k).values():
                     expected = naive_marginal(c.elements, elems, k)
                     assert list(marginal_set(c, a, k)) == expected
-                    assert list(marginal_split(c, a, k).merged) == expected
 
 
 def _set_with_reduced_span(rng, k, target, size):
@@ -240,6 +232,12 @@ class TestMarginalRoutes:
                     a, c = _set_with_reduced_span(rng, k, target, rng.randint(3, 9))
                     assert _reduced_span(c, a, k) == target
                     assert not self._assert_oracle(c, a, k, merges)
+        # A dense set stays on the bitmask route, so it forms no pairwise
+        # merge and meets no pair limit.
+        monkeypatch.setattr(backend, "MERGE_PAIR_LIMIT", 10)
+        a = IntSet(range(-30, 31))
+        for c in decompose(a, 3).values():
+            assert not self._assert_oracle(c, a, 3, merges)
 
     @pytest.mark.parametrize("delta", [-1, 0, 1])
     def test_route_threshold(self, monkeypatch, delta):
@@ -308,40 +306,6 @@ class TestMarginalRoutes:
         ]
 
 
-class TestMarginalSplit:
-    def test_all_high(self):
-        split = marginal_split(IntSet([0]), IntSet([0, 1, 2]), 3)
-        assert split.low == () and split.interior == () and split.high == (3, 6)
-
-    def test_both_sides(self):
-        split = marginal_split(IntSet([1]), IntSet([0, 1, 2]), 3)
-        assert split.low == (2,) and split.high == (8,)
-
-    def test_all_low(self):
-        split = marginal_split(IntSet([2]), IntSet([0, 1, 2]), 3)
-        assert split.low == (4, 7) and split.high == ()
-
-    def test_no_merge_on_dense_sets(self, monkeypatch):
-        # A dense set takes marginal_set's bitset route, so the split must
-        # not need the |C|^2-pair merge of 2*C + k*C either.
-        monkeypatch.setattr(backend, "MERGE_PAIR_LIMIT", 10)
-        a = IntSet(range(-30, 31))
-        for c in decompose(a, 3).values():
-            split = marginal_split(c, a, 3)
-            assert split.merged == tuple(naive_marginal(c.elements, a.elements, 3))
-
-    def test_partition_property(self):
-        rng = random.Random(13)
-        for _ in range(30):
-            elems = sorted(rng.sample(range(0, 35), rng.randint(2, 7)))
-            a = IntSet(elems)
-            for c in decompose(a, 3).values():
-                split = marginal_split(c, a, 3)
-                assert split.merged == marginal_set(c, a, 3)
-                parts = (set(split.low), set(split.interior), set(split.high))
-                assert sum(len(p) for p in parts) == len(split.merged)
-
-
 def test_component_pieces_disjoint_modulo():
     """n*C + m*B and n*T + m*B never meet for distinct components C, T."""
     bs = [IntSet([0, 1]), IntSet([0, 2, 7]), IntSet([1, 4, 5, 9])]
@@ -356,51 +320,3 @@ def test_component_pieces_disjoint_modulo():
                 for i in range(len(pieces)):
                     for j in range(i + 1, len(pieces)):
                         assert pieces[i].isdisjoint(pieces[j])
-
-
-class TestStabilizer:
-    def test_examples(self):
-        assert stabilizer([0, 3, 6], 9) == (0, 3, 6)
-        assert stabilizer([0, 1], 9) == (0,)
-        assert stabilizer(range(9), 9) == tuple(range(9))
-
-    def test_matches_full_scan(self):
-        """Same tuple as testing every translation of Z/mZ."""
-        rng = random.Random(23)
-        for m in range(2, 60):
-            for _ in range(20):
-                x = rng.sample(range(m), rng.randint(1, m))
-                assert stabilizer(x, m) == naive_stabilizer(x, m), (x, m)
-            for d in (d for d in range(1, m + 1) if m % d == 0):
-                # A union of cosets of the subgroup of order m // d.
-                base = rng.sample(range(d), rng.randint(1, d))
-                x = [b + d * j for b in base for j in range(m // d)]
-                assert stabilizer(x, m) == naive_stabilizer(x, m), (x, m)
-
-    def test_large_modulus(self):
-        assert stabilizer([0, 1], 10**12) == (0,)
-        assert stabilizer([5, 5 + 10**12 // 2], 10**12) == (0, 10**12 // 2)
-
-    def test_validates(self):
-        with pytest.raises(ValueError):
-            stabilizer([], 9)
-        with pytest.raises(ValueError):
-            stabilizer([9], 9)
-        with pytest.raises(InvalidModulusError):
-            stabilizer([0], 1)
-        with pytest.raises(TypeError):
-            stabilizer([0.5], 2)
-        with pytest.raises(TypeError):
-            stabilizer([0, 3.0], 9)
-
-    def test_divisor_property(self):
-        rng = random.Random(17)
-        for m in (6, 9, 12, 25):
-            for _ in range(25):
-                x = rng.sample(range(m), rng.randint(1, m))
-                stab = stabilizer(x, m)
-                assert 0 in stab
-                assert len(x) % len(stab) == 0
-                assert m % len(stab) == 0
-                # closure under addition mod m
-                assert {(g + h) % m for g in stab for h in stab} == set(stab)

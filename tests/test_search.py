@@ -19,7 +19,7 @@ from dilates.search import WITNESS_CAP
 from bruteforce import naive_canonical_family, naive_dilate_sum, naive_minimum
 
 
-class TestEnumerateCanonical:
+class TestNaiveCanonicalFamily:
     """The reference family that every search test compares against,
     pinned on hand-worked cases."""
 
@@ -376,6 +376,39 @@ class TestConjectureProbe:
         conjecture_probe((2, 3), range(2, 9), 26)
         assert [r.minimum for r in results] == [r.minimum for r in alone]
         assert sum(r.nodes_visited for r in results) == 61_018
+
+    @pytest.mark.parametrize(
+        "k, cardinalities, range_max, slack, attaining",
+        [
+            # |A + 2·A| >= 3|A| - 2 (Nathanson, 2008); progressions attain it.
+            (2, range(2, 15), 24, 2, lambda n: range(n)),
+            # |A + 3·A| >= 4|A| - 4 (Cilleruelo, Silva and Vinuesa, 2010);
+            # {0, 1} + 3·{0..n/2 - 1} attains it at even n.
+            (3, range(2, 21), 32, 4,
+             lambda n: None if n % 2 else [x + 3 * y for x in (0, 1) for y in range(n // 2)]),
+        ],
+        ids=["k=2", "k=3"],
+    )
+    def test_known_sharp_bounds(self, k, cardinalities, range_max, slack, attaining):
+        """Rows of (1, k) against |A + k·A| >= (k+1)|A| - slack, a known
+        sharp bound for every finite A, at sizes naive_minimum cannot reach.
+
+        An inadmissible cut would push a minimum below the bound; a search
+        that missed a witness would leave a minimum above a set that
+        attains it inside [0, range_max]. The two citations are from
+        memory and were not re-read against the papers. For k >= 5 the
+        known bound needs |A| >= 1,152, out of the search's reach, so
+        nothing is asserted there.
+        """
+        for row in conjecture_probe((1, k), cardinalities, range_max):
+            bound = (k + 1) * row.cardinality - slack
+            assert row.minimum >= bound
+            witness = attaining(row.cardinality)
+            if witness is not None:
+                witness = IntSet(witness)
+                assert witness.max <= range_max
+                assert dilate_sum_size(witness, (1, k)) == bound
+                assert row.minimum == bound
 
     def test_gcd_hypothesis(self):
         with pytest.raises(SearchConfigError):
