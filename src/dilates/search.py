@@ -257,6 +257,8 @@ def _walk(config, seed, plan, charge):
         nonlocal best, visited, pruned
         inner = len(prefix) < n - 1
         top = r_max - (n - len(prefix) - 2)
+        # True when the grandchildren prefix + (x, y) are leaves.
+        leaves_next = len(prefix) == n - 2
         # the least growth of a child's completions
         lead = charge[n - len(prefix) - 1]
         m_full = masks[full]
@@ -278,7 +280,14 @@ def _walk(config, seed, plan, charge):
                         mu |= masks[v] << (c * x + d)
                     child_masks.append(mu)
                 child_masks.append(m)
-                expand(prefix + (x,), child_masks, range(x + 1, top + 1))
+                child = prefix + (x,)
+                # The reflection cut: a leaf is dropped unless M >= a_{n-2} + a_1.
+                cut = child[1] - 1 if reflect else 0
+                if leaves_next:
+                    nxt = range(x + 1 + cut, r_max + 1)
+                else:
+                    nxt = range(x + 1, top + 1 - cut)
+                expand(child, child_masks, nxt)
                 continue
             if value > best:
                 continue
@@ -292,7 +301,9 @@ def _walk(config, seed, plan, charge):
 
     # The masks of the prefix (0,): its one sum over U sits at D_U.
     root = [1 << d for d in offsets]
-    expand((0,), root, range(1, r_max - n + 3))
+    # With the reflection cut, a_1 <= (R - n + 3) // 2 (see the module docstring).
+    top = (r_max - n + 3) // 2 if reflect and n > 2 else r_max - n + 2
+    expand((0,), root, range(1, top + 1))
     return best, witnesses, visited, pruned
 
 
