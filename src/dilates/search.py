@@ -40,7 +40,7 @@ raised 24 searches with negative or three-term coefficients from 366,064
 nodes to 394,118 or 637,220). A mixed-sign probe charges inc*r too,
 because its rows are minima of the mixed spec, not of either side.
 
-Why the cut is admissible. Four facts:
+Why the charge cut is admissible. Four facts:
 
 - The tail split. Let P be a child prefix, with minimum 0 and maximum
   x, let Y = {y_1 < ... < y_r} be the elements still to come, and let
@@ -70,6 +70,29 @@ Why the cut is admissible. Four facts:
   value + charge[r], which is strictly above the incumbent, hence
   strictly above the final minimum, so it can never tie it: no witness
   is lost.
+
+The reflection cut. With the reflection quotient on and n >= 3, a leaf
+L = (0, a_1, ..., a_{n-2}, M) is kept only if L is at most its
+reflection, whose second element is M - a_{n-2}. So every leaf with
+M < a_{n-2} + a_1 is dropped, and the walk never generates a prefix all
+of whose completions are such leaves:
+
+- a root child a_1 above (R - n + 3) // 2, since every completion has
+  a_{n-2} >= a_1 + n - 3 and so needs M >= 2*a_1 + n - 3 > R;
+- an element at position i, 2 <= i <= n - 2, above the usual top
+  R - (n - 1 - i) less a_1 - 1, since it forces a_{n-2} > R - a_1;
+- a leaf with M below a_{n-2} + a_1.
+
+Each bound is attained by a completion with consecutive elements up to
+a_{n-2} and M = a_{n-2} + a_1, so the walk skips exactly the prefixes
+with no leaf that the quotient could keep. The ties M = a_{n-2} + a_1
+are still decided by comparing the leaf with its reflection. Only a
+kept leaf changes the incumbent, and the walk still meets every kept
+leaf in the same order, so the incumbent has the same value at every
+node that is still visited. Minima, witnesses and the charge cut's
+decisions at those nodes do not change; the skipped prefixes are
+neither visited nor counted. With n <= 2 or the quotient off, nothing
+is skipped.
 
 Leaves are reached in lexicographic order, so the witnesses come out
 sorted. The traversal counters are measured against the running
@@ -155,6 +178,8 @@ class SearchResult:
     leaves and internal nodes alike; ``nodes_pruned`` counts cut subtrees:
     internal nodes whose value plus the charge of the elements still to
     add exceeds the running incumbent (see the module docstring).
+    Prefixes skipped by the reflection cut, whose every leaf the
+    reflection quotient drops, are neither visited nor counted as pruned.
     """
 
     minimum: int

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -93,7 +94,7 @@ class TestMinDilateSum:
     # against one running incumbent with the lookahead cut
     # value + inc*r > incumbent, and with the reflection cut, which
     # neither visits nor counts a prefix whose every leaf the reflection
-    # quotient drops (without it: 1364/640, 714/0, 255/158, 135/95).
+    # quotient drops.
     @pytest.mark.parametrize(
         "coeffs, n, r, counts",
         [
@@ -244,6 +245,36 @@ class TestMinDilateSum:
             SearchConfig(DilateSpec((2, 3)), 3, 12.0)
 
 
+class TestReflectionCut:
+    """The walk skips exactly the prefixes whose every leaf the reflection
+    quotient drops: those of no leaf (0, a_1, ..., a_{n-2}, M) with
+    M >= a_{n-2} + a_1."""
+
+    @pytest.mark.parametrize("coeffs", [(2, 3), (-3, 2), (2, -3, 5)])
+    def test_visits_only_prefixes_of_leaves_the_quotient_can_keep(
+        self, monkeypatch, coeffs
+    ):
+        # A charge that never cuts, so every generated prefix is visited
+        # and expanded, and nodes_visited counts every one of them.
+        monkeypatch.setattr(search, "_charges", lambda coeffs, n, exact: [-math.inf] * n)
+        for n in range(3, 7):
+            for r in range(n - 1, 13):
+                leaves = [
+                    (0, *rest)
+                    for rest in combinations(range(1, r + 1), n - 1)
+                    if rest[-1] >= rest[-2] + rest[0]
+                ]
+                prefixes = {leaf[:j] for leaf in leaves for j in range(2, n)}
+                result = min_dilate_sum(SearchConfig(DilateSpec(coeffs), n, r))
+                assert (result.nodes_visited, result.nodes_pruned) == (
+                    len(prefixes) + len(leaves),
+                    0,
+                ), (n, r)
+                expected_min, expected_wits = naive_minimum(coeffs, n, r)
+                assert result.minimum == expected_min
+                assert [w.elements for w in result.witnesses] == expected_wits
+
+
 def charge_per_element(coeffs):
     """The charge of one element still to add, with no exact rows."""
     return search._charges(coeffs, 3, {})[1]
@@ -323,6 +354,11 @@ class TestChargeOracle:
         )
 
 
+def two_rungs(n):
+    """{0, 1} + 3·{0..n/2 - 1} for even n, None for odd n."""
+    return None if n % 2 else [x + 3 * y for x in (0, 1) for y in range(n // 2)]
+
+
 class TestConjectureProbe:
     def test_regression_rows(self):
         rows = conjecture_probe(DilateSpec((2, 3)), range(2, 4), 12)
@@ -363,7 +399,6 @@ class TestConjectureProbe:
     def test_benchmark_table_nodes_pinned(self, monkeypatch):
         # The probe table (2, 3), n = 2..8 at range 26 visits 61,643 nodes
         # with the inc*r charge alone; its finished rows cut it to 39,461.
-        # Before the reflection cut the two counts were 100,749 and 61,018.
         alone = [
             min_dilate_sum(SearchConfig(DilateSpec((2, 3)), n, 26)) for n in range(2, 9)
         ]
@@ -387,10 +422,14 @@ class TestConjectureProbe:
             (2, range(2, 15), 24, 2, lambda n: range(n)),
             # |A + 3·A| >= 4|A| - 4 (Cilleruelo, Silva and Vinuesa, 2010);
             # {0, 1} + 3·{0..n/2 - 1} attains it at even n.
-            (3, range(2, 21), 32, 4,
-             lambda n: None if n % 2 else [x + 3 * y for x in (0, 1) for y in range(n // 2)]),
+            (3, range(2, 21), 32, 4, two_rungs),
+            # The same bound up to n = 26. From n = 24 on, |A| >= 3(k-1)^2(k-1)!
+            # meets the hypothesis of |A + k·A| >= (k+1)|A| - ceil(k(k+2)/4)
+            # for prime k (Cilleruelo, Hamidoune and Serra, 2009), which is
+            # 4|A| - 4 at k = 3.
+            (3, range(2, 27), 40, 4, two_rungs),
         ],
-        ids=["k=2", "k=3"],
+        ids=["k=2", "k=3", "k=3-large"],
     )
     def test_known_sharp_bounds(self, k, cardinalities, range_max, slack, attaining):
         """Rows of (1, k) against |A + k·A| >= (k+1)|A| - slack, a known
@@ -398,7 +437,7 @@ class TestConjectureProbe:
 
         An inadmissible cut would push a minimum below the bound; a search
         that missed a witness would leave a minimum above a set that
-        attains it inside [0, range_max]. The two citations are from
+        attains it inside [0, range_max]. The three citations are from
         memory and were not re-read against the papers. For k >= 5 the
         known bound needs |A| >= 1,152, out of the search's reach, so
         nothing is asserted there.
