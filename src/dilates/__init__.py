@@ -12,7 +12,6 @@ from .bounds import (
     bound_main_large,
     bound_main_small,
     bound_marginal_total,
-    check_affine_invariance,
     check_faithful,
     check_suite,
     deficiency,
@@ -36,7 +35,6 @@ from .errors import (
     SearchConfigError,
 )
 from .intset import (
-    AffineMap,
     DilateSpec,
     IntSet,
     canonicalize,
@@ -56,7 +54,6 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap",
     "ArithmeticRangeError",
     "BoundReport",
     "DilateSpec",
@@ -81,7 +78,6 @@ __all__ = [
     "bound_main_small",
     "bound_marginal_total",
     "canonicalize",
-    "check_affine_invariance",
     "check_faithful",
     "check_suite",
     "component_count",

@@ -8,7 +8,6 @@ for an out-of-hypothesis input; silently passing those would make the
 verifier vacuous.
 
 Statement ids:
-  affine_invariance    dilate-sum size is unchanged by x -> u*x + v
   basic_bound          |n*A + m*B| >= c_n(B)|A| + c_m(A)|B| - c_m(A)c_n(B)
   four_bound           |n*A + m*A| >= 4|A| - 4 for coprime 2 <= n < m
   full_semifull_bound  |2*A + m*A| >= (m+2)|A| - 2m (m-full case) or
@@ -40,7 +39,6 @@ from .errors import (
     ArithmeticRangeError,
     DilatesError,
     HypothesisError,
-    InvalidCoefficientError,
     InvalidModulusError,
 )
 from .intset import IntSet, canonicalize, dilate_sum_size, _coerce_spec
@@ -51,8 +49,7 @@ MAX_CONSTANT_PRIME = 13
 
 GE = ">="
 GT = ">"
-EQ = "=="
-_RELATIONS = {GE: operator.ge, GT: operator.gt, EQ: operator.eq}
+_RELATIONS = {GE: operator.ge, GT: operator.gt}
 
 
 @dataclass(frozen=True)
@@ -119,36 +116,6 @@ def _report(statement_id, relation, lhs, rhs, hypotheses, detail=None, met=None)
 
 def _pair_size(n, a: IntSet, m, b: IntSet) -> int:
     return fold_size(((n, a.elements), (m, b.elements)))
-
-
-def check_affine_invariance(a: IntSet, r: int, s: int, u: int, v: int) -> BoundReport:
-    """Verify |r*(a+v) + s*(a+v)| = |r*a + s*a| = |r*(u*a) + s*(u*a)|."""
-    for name, c in (("r", r), ("s", s), ("u", u)):
-        if c == 0:
-            raise InvalidCoefficientError(f"coefficient {name} must be nonzero")
-    base = _pair_size(r, a, s, a)
-    shifted = IntSet(x + v for x in a)
-    scaled = IntSet(u * x for x in a)
-    translated_size = _pair_size(r, shifted, s, shifted)
-    scaled_size = _pair_size(r, scaled, s, scaled)
-    # lhs equals base exactly when both transformed sizes do.
-    lhs = translated_size if translated_size != base else scaled_size
-    return _report(
-        "affine_invariance",
-        EQ,
-        lhs,
-        base,
-        {"nonzero_coefficients": True},
-        detail={
-            "base_size": base,
-            "translated_size": translated_size,
-            "scaled_size": scaled_size,
-            "r": r,
-            "s": s,
-            "u": u,
-            "v": v,
-        },
-    )
 
 
 def bound_basic(a: IntSet, b: IntSet, n: int, m: int) -> BoundReport:
@@ -433,7 +400,7 @@ def check_suite(a: IntSet, k: int):
     the canonical set, whose smaller envelope may fit.
     """
     _require_odd_prime(k)
-    canon, _ = canonicalize(a)
+    canon = canonicalize(a)
     normalized = canon != a
     reports = []
 

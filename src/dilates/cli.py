@@ -198,6 +198,14 @@ def _cmd_ap(args):
     return 0 if matches else 1
 
 
+# argparse reads a value that starts with "-" as an option, so a list whose
+# first value is negative needs the "=" form.
+_SET_HELP = "comma-separated integers; write --set=-5,1 when the first is negative"
+_COEFFS_HELP = (
+    "comma-separated nonzero coefficients; write --coeffs=-3,2 when the first is negative"
+)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="dilates",
@@ -206,18 +214,18 @@ def _build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("sum", help="compute a dilate sum and print it")
-    p.add_argument("--set", required=True, help="comma-separated integers")
-    p.add_argument("--coeffs", required=True, help="comma-separated nonzero coefficients")
+    p.add_argument("--set", required=True, help=_SET_HELP)
+    p.add_argument("--coeffs", required=True, help=_COEFFS_HELP)
     p.set_defaults(func=_cmd_sum)
 
     p = sub.add_parser("check", help="run every inequality checker on a set")
-    p.add_argument("--set", required=True, help="comma-separated integers")
+    p.add_argument("--set", required=True, help=_SET_HELP)
     p.add_argument("--k", required=True, type=int, help="odd prime")
     p.add_argument("--csv", action="store_true", help="CSV output instead of JSON")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("search", help="exact minimum of a dilate-sum size")
-    p.add_argument("--coeffs", required=True)
+    p.add_argument("--coeffs", required=True, help=_COEFFS_HELP)
     p.add_argument("--n", required=True, type=int, help="cardinality")
     p.add_argument("--range", required=True, type=int, help="elements drawn from [0, range]")
     p.add_argument("--no-reflect", action="store_true")
@@ -228,7 +236,7 @@ def _build_parser():
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("probe", help="minimum/deficiency table over cardinalities")
-    p.add_argument("--coeffs", required=True)
+    p.add_argument("--coeffs", required=True, help=_COEFFS_HELP)
     p.add_argument("--n-from", required=True, type=int)
     p.add_argument("--n-to", required=True, type=int)
     p.add_argument("--range", required=True, type=int)

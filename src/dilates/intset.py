@@ -2,17 +2,16 @@
 
 An IntSet is a nonempty, strictly increasing tuple of signed 64-bit
 integers; it plays the role of every concrete set handled by the library.
-Operations are pure functions returning new values. Anything that would
-leave the 64-bit range raises ArithmeticRangeError instead of wrapping;
-exactness is the whole point.
+The one exception is canonicalize(), whose translate can leave int64 (see
+there). Operations are pure functions returning new values. Anything that
+would leave the 64-bit range raises ArithmeticRangeError instead of
+wrapping; exactness is the whole point.
 
 Conventions:
   - dilation coefficients are nonzero (dilating by 0 would collapse the
     set and break |r*A| = |A|);
   - the canonical representative of an affine orbit has minimum 0 and,
-    for sets of size >= 2, element gcd 1; singletons canonicalize to {0};
-  - an AffineMap returned by canonicalize() sends the canonical set back
-    to the original one (x -> scale*x + shift).
+    for sets of size >= 2, element gcd 1; singletons canonicalize to {0}.
 """
 
 from __future__ import annotations
@@ -86,36 +85,8 @@ class IntSet:
     def __hash__(self):
         return hash(self._elements)
 
-    def __lt__(self, other):
-        return self._elements < other._elements
-
     def __repr__(self):
         return f"IntSet({list(self._elements)!r})"
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """The map x -> scale*x + shift with a positive integer scale.
-
-    Both are coerced with ``operator.index``, so a float raises TypeError.
-    """
-
-    shift: int
-    scale: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "shift", operator.index(self.shift))
-        object.__setattr__(self, "scale", operator.index(self.scale))
-        if self.scale < 1:
-            raise ValueError(f"scale must be >= 1, got {self.scale}")
-
-    def apply_value(self, x):
-        return check_int64(self.scale * x + self.shift, "mapped value")
-
-    def apply(self, s: IntSet) -> IntSet:
-        self.apply_value(s.min)
-        self.apply_value(s.max)
-        return IntSet._wrap(tuple(self.scale * x + self.shift for x in s.elements))
 
 
 @dataclass(frozen=True)
@@ -143,9 +114,6 @@ class DilateSpec:
     def __iter__(self):
         return iter(self.coefficients)
 
-    def __len__(self):
-        return len(self.coefficients)
-
     @property
     def weight(self):
         """Sum of the coefficient magnitudes."""
@@ -166,7 +134,12 @@ def minkowski_sum(a: IntSet, b: IntSet) -> IntSet:
 
 
 def dilate(a: IntSet, r: int) -> IntSet:
-    """The r-fold dilation {r*x : x in a}; r must be nonzero."""
+    """The r-fold dilation {r*x : x in a}; r must be nonzero.
+
+    r is coerced with ``operator.index``, as DilateSpec coefficients are:
+    a bool counts as 0 or 1, and a float raises TypeError.
+    """
+    r = operator.index(r)
     if r == 0:
         raise InvalidCoefficientError("dilation by 0 collapses the set")
     check_int64(r * a.min, "dilated value")
@@ -193,20 +166,19 @@ def dilate_sum_size(a: IntSet, spec) -> int:
     return backend.fold_size(tuple((m, a.elements) for m in spec))
 
 
-def canonicalize(a: IntSet):
+def canonicalize(a: IntSet) -> IntSet:
     """Translate the minimum to 0 and divide out the common gap divisor.
 
-    Returns (canonical set, map sending the canonical set back to ``a``).
-    A singleton maps to {0} with scale 1, since its gap gcd is undefined.
-    Idempotent, and dilate-sum sizes are invariant under it.
+    A singleton maps to {0}, since its gap gcd is undefined. Idempotent,
+    and dilate-sum sizes are invariant under it. The result is not held
+    to int64: a set spanning more than INT64_MAX, such as
+    {-2**63, 0, 2**63 - 1}, canonicalizes to elements above it, and any
+    fold of the result is then refused with ArithmeticRangeError.
     """
     base = a.min
     if len(a) == 1:
-        return IntSet._wrap((0,)), AffineMap(shift=base, scale=1)
+        return IntSet._wrap((0,))
     g = 0
     for x in a.elements:
         g = math.gcd(g, x - base)
-    return (
-        IntSet._wrap(tuple((x - base) // g for x in a.elements)),
-        AffineMap(shift=base, scale=g),
-    )
+    return IntSet._wrap(tuple((x - base) // g for x in a.elements))

@@ -22,7 +22,6 @@ from dilates import (
     bound_main_small,
     bound_marginal_total,
     bound_basic,
-    check_affine_invariance,
     check_faithful,
     component_count,
     conjecture_probe,
@@ -30,9 +29,10 @@ from dilates import (
     min_dilate_sum,
 )
 
+from dilates.backend import fold_size
 from dilates.search import WITNESS_CAP
 
-from bruteforce import naive_canonical_family, naive_minimum
+from bruteforce import naive_canonical_family, naive_fold, naive_minimum
 
 
 def _finish(name, failures, started, limit, extra=""):
@@ -186,20 +186,32 @@ def test_criterion_5_large_set_bound():
 
 
 def test_criterion_6_affine_invariance_fuzz():
-    """1000 random (A, r, s, u, v): both size equalities hold exactly."""
+    """1000 random (A, r, s, u, v): |r*A + s*A| is unchanged by x -> x + v
+    and by x -> u*x, each size a direct fold, the base one also checked
+    against the brute-force fold."""
     started = time.perf_counter()
     failures = []
     rng = random.Random(1729)
     nonzero = [c for c in range(-9, 10) if c != 0]
+    reflected = repeated = 0
     for i in range(1000):
         size = rng.randint(1, 8)
-        a = IntSet(rng.sample(range(-50, 51), size))
+        a = rng.sample(range(-50, 51), size)
         r, s, u = (rng.choice(nonzero) for _ in range(3))
         v = rng.randint(-9, 9)
-        rep = check_affine_invariance(a, r, s, u, v)
-        if rep.verdict != "holds":
-            failures.append((i, tuple(a.elements), r, s, u, v, rep.detail))
-    _finish("criterion 6 affine invariance fuzz", failures, started, 30.0)
+        sizes = [
+            fold_size(((r, b.elements), (s, b.elements)))
+            for b in (IntSet(a), IntSet(x + v for x in a), IntSet(u * x for x in a))
+        ]
+        sizes.append(len(naive_fold([(r, a), (s, a)])))
+        if len(set(sizes)) != 1:
+            failures.append((i, tuple(sorted(a)), r, s, u, v, sizes))
+        reflected += u < 0
+        repeated += r == s
+    if not (reflected and repeated):
+        failures.append(("no case with u < 0 or with r == s", reflected, repeated))
+    _finish("criterion 6 affine invariance fuzz", failures, started, 30.0,
+            extra=f"u < 0 in {reflected}, r == s in {repeated}")
 
 
 def test_criterion_7_conjecture_probe_regression():

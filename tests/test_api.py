@@ -1,8 +1,10 @@
+import importlib
 import os
 import re
 import types
 
 import dilates
+import dilates.backend
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -17,10 +19,11 @@ def test_all_lists_exactly_the_public_names():
     assert set(dilates.__all__) == public
     for name in dilates.__all__:
         assert getattr(dilates, name) is not None
-    assert len(dilates.__all__) == 42
+    assert len(dilates.__all__) == 40
     for name in (
         "available_backends", "enumerate_canonical", "VerificationError", "ap_exact_size",
         "Decomposition", "MarginalSplit", "marginal_split", "stabilizer",
+        "AffineMap", "check_affine_invariance",
     ):
         assert name not in public
     assert not hasattr(dilates.backend, "available_backends")
@@ -38,3 +41,19 @@ def test_readme_quick_start_values():
     assert len(pairs) == 5
     for expr, value in pairs:
         assert eval(value, scope) == eval(expr, scope), expr
+
+
+def test_benchmark_names_resolve(perfbench_tracing):
+    """Every name the benchmark's tracer binds or calls exists.
+
+    The benchmark runs untraced, so a name only its traced self-check
+    needs would otherwise go missing unnoticed."""
+    sites = [s for sites in perfbench_tracing.REQUIRED_SITES.values() for s in sites]
+    assert sites
+    for site in sites:
+        module, attr = site.rsplit(".", 1)
+        assert callable(getattr(importlib.import_module(module), attr, None)), site
+    for name in perfbench_tracing.KERNELS:
+        assert callable(getattr(dilates.backend._impl, name, None)), name
+    # perfbench/run.py calls both.
+    assert callable(dilates.backend_name) and callable(dilates.use_backend)

@@ -5,7 +5,6 @@ from dilates import (
     ArithmeticRangeError,
     HypothesisError,
     IntSet,
-    InvalidCoefficientError,
     InvalidModulusError,
     MergeLimitError,
     ap_recompute,
@@ -16,38 +15,12 @@ from dilates import (
     bound_main_large,
     bound_main_small,
     bound_marginal_total,
-    check_affine_invariance,
     check_faithful,
     check_suite,
     deficiency,
 )
 
 from bruteforce import naive_canonical_family, naive_dilate_sum, naive_fold
-
-
-class TestAffineInvariance:
-    def test_identity_transform(self):
-        rep = check_affine_invariance(IntSet([0, 1, 3]), 2, 3, 1, 0)
-        assert rep.verdict == "holds" and rep.slack == 0
-
-    def test_reflect_and_shift(self):
-        rep = check_affine_invariance(IntSet([0, 1, 3]), 2, 3, -1, 7)
-        assert rep.verdict == "holds"
-        assert rep.detail["base_size"] == 8
-
-    def test_two_point(self):
-        rep = check_affine_invariance(IntSet([0, 1]), 2, 5, 3, -4)
-        assert rep.verdict == "holds"
-        assert rep.detail["base_size"] == 4
-
-    def test_equal_coefficients_allowed(self):
-        rep = check_affine_invariance(IntSet([0, 2, 5]), 3, 3, -2, 11)
-        assert rep.verdict == "holds"
-
-    @pytest.mark.parametrize("r, s, u", [(0, 3, 1), (2, 0, 1), (2, 3, 0)])
-    def test_zero_coefficient_refused(self, r, s, u):
-        with pytest.raises(InvalidCoefficientError, match="must be nonzero"):
-            check_affine_invariance(IntSet([0, 1, 3]), r, s, u, 0)
 
 
 class TestBasicBound:
@@ -455,6 +428,31 @@ class TestCheckSuite:
                      "dilate-sum envelope 11529215046068469760 exceeds the signed 64-bit range"),
                     ("main_small_bound", "holds", 9, -21, None),
                     ("marginal_total_bound", "holds", 4, 2, None),
+                ],
+            ),
+            # Both folds leave int64: A spans all of it, and its canonical
+            # set {0, 2^63, 2^64 - 1} lies above INT64_MAX.
+            (
+                [-(2**63), 0, 2**63 - 1],
+                [
+                    ("basic_bound", "not-applicable", None, None,
+                     "dilate-sum envelope 46116860184273879040 exceeds the signed 64-bit range"),
+                    ("faithful_component", "not-applicable", None, None,
+                     "dilated value 36893488147419103230 is outside the signed 64-bit range"),
+                    ("faithful_component", "not-applicable", None, None,
+                     "dilated value 18446744073709551616 is outside the signed 64-bit range"),
+                    ("four_bound", "not-applicable", None, None,
+                     "dilate-sum envelope 46116860184273879040 exceeds the signed 64-bit range"),
+                    ("full_semifull_bound", "not-applicable", None, None,
+                     "dilate-sum envelope 46116860184273879040 exceeds the signed 64-bit range"),
+                    ("main_large_bound", "not-applicable", None, None,
+                     "dilate-sum envelope 92233720368547758075 exceeds the signed 64-bit range"),
+                    ("main_large_strict", "not-applicable", None, None,
+                     "dilate-sum envelope 92233720368547758075 exceeds the signed 64-bit range"),
+                    ("main_small_bound", "not-applicable", None, None,
+                     "dilate-sum envelope 46116860184273879040 exceeds the signed 64-bit range"),
+                    ("marginal_total_bound", "not-applicable", None, None,
+                     "dilated value -27670116110564327424 is outside the signed 64-bit range"),
                 ],
             ),
         ],

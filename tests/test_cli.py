@@ -58,6 +58,19 @@ class TestSum:
         assert code == 3
         assert "64-bit" in err
 
+    def test_negative_first_values_need_equals(self, capsys):
+        # argparse reads "-5,1" as an option, so it needs the "=" form.
+        code, out, err = run_cli(capsys, "sum", "--set", "-5,1", "--coeffs", "2,3")
+        assert (code, out) == (2, "")
+        assert "argument --set: expected one argument" in err
+        code, out, _ = run_cli(capsys, "sum", "--set=-5,1", "--coeffs=-3,2")
+        assert code == 0
+        assert payload(out) == {
+            "command": "sum",
+            "params": {"set": [-5, 1], "coeffs": [-3, 2]},
+            "results": {"size": 4, "elements": [-13, -1, 5, 17]},
+        }
+
 
 class TestCheck:
     def test_holds_and_exit_zero(self, capsys):

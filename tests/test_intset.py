@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dilates import (
-    AffineMap,
     ArithmeticRangeError,
     DilateSpec,
     IntSet,
@@ -61,7 +60,9 @@ class TestIntSet:
         assert a.min == -2 and a.max == 9 and a.span == 11
         assert 5 in a and 6 not in a
         assert a == IntSet([9, 5, -2])
-        assert IntSet([0, 1]) < IntSet([0, 2])
+        # `<` on a Python set means proper subset, so IntSet defines no order.
+        with pytest.raises(TypeError):
+            IntSet([0, 1]) < IntSet([0, 2])
 
 
 class TestMinkowskiSum:
@@ -115,6 +116,13 @@ class TestDilate:
         with pytest.raises(InvalidCoefficientError):
             dilate(IntSet([0, 1]), 0)
 
+    def test_rejects_non_integer_coefficient(self):
+        with pytest.raises(TypeError):
+            dilate(IntSet([1, 2]), 2.5)
+        got = dilate(IntSet([1, 2]), True)
+        assert got == IntSet([1, 2])
+        assert all(type(x) is int for x in got.elements)
+
     def test_overflow(self):
         with pytest.raises(ArithmeticRangeError):
             dilate(IntSet([INT64_MAX // 2 + 1]), 2)
@@ -158,6 +166,8 @@ class TestDilateSum:
         assert spec.coefficients == (-1, 2, 3)
         assert spec.weight == 6
         assert spec.magnitude_gcd == 1
+        with pytest.raises(TypeError):
+            len(spec)
 
     @given(small_sets, st.lists(nonzero, min_size=1, max_size=3, unique=True))
     @settings(max_examples=80)
@@ -170,44 +180,37 @@ class TestDilateSum:
 
 class TestCanonicalize:
     def test_singleton(self):
-        canon, amap = canonicalize(IntSet([7]))
-        assert canon.elements == (0,)
-        assert amap == AffineMap(shift=7, scale=1)
+        assert canonicalize(IntSet([7])).elements == (0,)
 
     def test_shift_and_scale(self):
-        canon, amap = canonicalize(IntSet([10, 16, 22]))
+        a = IntSet([10, 16, 22])
+        canon = canonicalize(a)
         assert canon.elements == (0, 1, 2)
-        assert amap == AffineMap(shift=10, scale=6)
+        assert IntSet(a.min + 6 * x for x in canon.elements) == a
 
     def test_already_canonical(self):
-        canon, amap = canonicalize(IntSet([0, 1, 3]))
-        assert canon.elements == (0, 1, 3)
-        assert amap == AffineMap(shift=0, scale=1)
+        assert canonicalize(IntSet([0, 1, 3])).elements == (0, 1, 3)
+
+    def test_leaves_int64_on_a_wide_set(self):
+        got = canonicalize(IntSet([INT64_MIN, 0, INT64_MAX]))
+        assert got.elements == (0, 2**63, 2**64 - 1)
 
     @given(small_sets)
     def test_idempotent_and_invertible(self, a):
-        canon, amap = canonicalize(a)
+        canon = canonicalize(a)
         assert canon.min == 0
         if len(canon) > 1:
             assert math.gcd(*canon.elements) == 1
-        again, identity = canonicalize(canon)
-        assert again == canon
-        assert identity == AffineMap(shift=0, scale=1)
-        assert amap.apply(canon) == a
+        assert canonicalize(canon) == canon
+        # a is a.min + g*x over the canonical x, g the gcd of a's gaps.
+        g = math.gcd(*(x - a.min for x in a.elements)) or 1
+        assert IntSet(a.min + g * x for x in canon.elements) == a
 
     @given(small_sets, st.lists(nonzero, min_size=1, max_size=3, unique=True))
     @settings(max_examples=60)
     def test_preserves_dilate_sum_size(self, a, coeffs):
-        canon, _ = canonicalize(a)
+        canon = canonicalize(a)
         assert dilate_sum_size(canon, coeffs) == dilate_sum_size(a, coeffs)
-
-    def test_affine_map_validates_scale(self):
-        with pytest.raises(ValueError):
-            AffineMap(shift=0, scale=0)
-        with pytest.raises(TypeError):
-            AffineMap(shift=0.5, scale=1)
-        with pytest.raises(TypeError):
-            AffineMap(shift=0, scale=1.5)
 
 
 @given(small_sets, nonzero, nonzero, nonzero, st.integers(-40, 40))
