@@ -119,7 +119,12 @@ def _pair_size(n, a: IntSet, m, b: IntSet) -> int:
 
 
 def bound_basic(a: IntSet, b: IntSet, n: int, m: int) -> BoundReport:
-    """Component-count lower bound for |n*a + m*b| with coprime n, m."""
+    """Component-count lower bound for |n*a + m*b| with coprime n, m.
+
+    n and m are coerced with ``operator.index``: a bool counts as 0 or 1,
+    and a float raises TypeError.
+    """
+    n, m = operator.index(n), operator.index(m)
     return _bound_basic(a, b, n, m, lambda: _pair_size(n, a, m, b))
 
 
@@ -144,7 +149,11 @@ def _bound_basic(a, b, n, m, size):
 
 
 def bound_four(a: IntSet, n: int, m: int) -> BoundReport:
-    """|n*a + m*a| >= 4|a| - 4 for coprime integers 2 <= n < m."""
+    """|n*a + m*a| >= 4|a| - 4 for coprime integers 2 <= n < m.
+
+    n and m are coerced with ``operator.index``, as in bound_basic.
+    """
+    n, m = operator.index(n), operator.index(m)
     return _bound_four(a, n, m, lambda: _pair_size(n, a, m, a))
 
 
@@ -165,7 +174,9 @@ def bound_full_semifull(a: IntSet, m: int) -> BoundReport:
 
     The full case (m+2)|a| - 2m takes precedence; the semi-full case uses
     (m+2)|a| - 2m*c_m(a). Neither predicate holding means not-applicable.
+    m is coerced with ``operator.index``, as in bound_basic.
     """
+    m = operator.index(m)
     return _bound_full_semifull(a, m, lambda: _pair_size(2, a, m, a))
 
 

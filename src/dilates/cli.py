@@ -9,6 +9,7 @@ fold), 2 usage or hypothesis error, 3 arithmetic range error.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -206,6 +207,10 @@ _COEFFS_HELP = (
 )
 
 
+# Built on the first main() call, not at import, and kept for the process:
+# building it costs about 1 ms. The subcommands look up the library
+# functions when they run, so rebinding those still takes effect.
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="dilates",

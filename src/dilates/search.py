@@ -9,10 +9,16 @@ canonical form fits in [0, R].
 
 Branch and bound is one depth-first walk of the family in ascending
 lexicographic order, from the prefix (0,), with one running incumbent:
-the smallest value met so far, seeded by the progression {0, ..., n-1},
-which belongs to every family. The walk is exact. A child prefix with r
-elements still to add is cut when value + charge[r] exceeds the
-incumbent, where
+the smallest value met so far, seeded by the least fold over the
+two-class sets, the first n elements of {0, c} + m*N for m = 2 or a
+coefficient magnitude and 1 <= c < m, kept when they fit in [0, R] with
+gcd 1 (see _incumbent). The progression {0, ..., n-1} is the case m = 2,
+c = 1; unions of progressions with difference k attain the known bounds
+on |A + k*A|. The seed is admissible: each kept candidate has minimum 0,
+gcd 1 and n elements in [0, R], so it or its reflection, which has the
+same value, is a member of the family, and the incumbent is never below
+the minimum. The walk is exact. A child prefix with r elements still to
+add is cut when value + charge[r] exceeds the incumbent, where
 
     charge[r] = (f+(r+1) - 1) + (f-(r+1) - 1).
 
@@ -332,6 +338,31 @@ def _walk(config, seed, plan, charge):
     return best, witnesses, visited, pruned
 
 
+def _incumbent(coeffs, n, range_max):
+    """The least fold size over the two-class sets of the family, n >= 2.
+
+    A two-class set is the first n elements of {0, c} + m*N, element i
+    being (i // 2)*m + (i % 2)*c, for m in {2} and every coefficient
+    magnitude from 2 on, and 1 <= c < m; it is kept when its last element
+    is at most range_max and its gcd is 1. m = 2, c = 1 is the progression
+    {0, ..., n-1}, which always fits. From n = 3 on, element 2 is m, so a
+    modulus above range_max is skipped; c never exceeds range_max. A
+    rejected candidate costs no fold.
+    """
+    moduli = {2} | {abs(k) for k in coeffs if abs(k) >= 2}
+    candidates = (
+        tuple((i // 2) * m + (i % 2) * c for i in range(n))
+        for m in moduli
+        if n < 3 or m <= range_max
+        for c in range(1, min(m - 1, range_max) + 1)
+    )
+    return min(
+        backend.fold_size(tuple((k, elems) for k in coeffs))
+        for elems in candidates
+        if elems[-1] <= range_max and math.gcd(*elems) == 1
+    )
+
+
 class _ProbeRowConfig(SearchConfig):
     """A probe row's family, with the minima of the rows the probe has
     already finished: cardinality -> minimum of spec at range_max.
@@ -365,10 +396,8 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
             nodes_pruned=0,
         )
 
-    # Progression upper bound; a member of every family, so pruning
-    # against it can only discard values that exceed the true minimum.
     coeffs = config.spec.coefficients
-    seed = backend.fold_size(tuple((c, tuple(range(n))) for c in coeffs))
+    seed = _incumbent(coeffs, n, config.range_max)
     exact = config.finished if isinstance(config, _ProbeRowConfig) else {}
     best, witnesses, visited, pruned = _walk(
         config, seed, _mask_plan(coeffs, config.range_max), _charges(coeffs, n, exact)

@@ -97,6 +97,30 @@ class TestFullSemifullBound:
             bound_full_semifull(IntSet([0, 1]), 1)
 
 
+class TestCoefficientCoercion:
+    """The public checkers coerce their coefficients with operator.index."""
+
+    def test_float_refused(self):
+        a = IntSet([0, 1, 3])
+        for call in (
+            lambda: bound_basic(a, a, 2.0, 3),
+            lambda: bound_basic(a, a, 2, 3.0),
+            lambda: bound_four(a, 2.0, 3),
+            lambda: bound_four(a, 2, 3.0),
+            lambda: bound_full_semifull(a, 3.0),
+        ):
+            with pytest.raises(TypeError):
+                call()
+
+    def test_true_acts_as_one(self):
+        a = IntSet([0, 1, 3])
+        assert bound_basic(a, a, True, 3) == bound_basic(a, a, 1, 3)
+        assert bound_four(a, True, 3) == bound_four(a, 1, 3)
+        assert not bound_four(a, True, 3).hypotheses["n_ge_2"]
+        with pytest.raises(InvalidModulusError):
+            bound_full_semifull(a, True)
+
+
 class TestMarginalTotalBound:
     def test_equality_three_classes(self):
         rep = bound_marginal_total(IntSet([0, 1, 2]), 3)

@@ -368,6 +368,23 @@ class TestArgparse:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 
+    def test_parser_reused_after_a_failed_parse(self, capsys):
+        # main() builds its parser once per process; a parse that fails
+        # must leave nothing behind for the next call.
+        argv = ["search", "--coeffs", "2,3", "--n", "5", "--range", "12"]
+        assert main(["search", "--coeffs", "2,3", "--n", "x", "--range", "12"]) == 2
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, *argv)
+        assert dilates.cli._build_parser() is dilates.cli._build_parser()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "dilates", *argv],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert code == fresh.returncode == 0
+        assert out == fresh.stdout
+
 
 def test_module_entry_point():
     env = dict(os.environ, PYTHONPATH=SRC)

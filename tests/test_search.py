@@ -38,6 +38,37 @@ class TestNaiveCanonicalFamily:
         assert naive_canonical_family(1, 0) == [(0,)]
 
 
+# Minima and complete witness lists at sizes the brute-force oracle
+# cannot reach, computed by the search before any lookahead cut, so a
+# cut that loses a witness or returns a wrong minimum fails here.
+EXACT_PINS = [
+    ((2, 3), 13, 30, 58, [(0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16, 18)]),
+    ((2, 3), 14, 30, 62, [(0, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20)]),
+    ((2, 5), 9, 30, 45, [(0, 2, 4, 5, 7, 9, 10, 12, 14)]),
+    (
+        (2, 7),
+        7,
+        30,
+        33,
+        [
+            (0, 2, 4, 7, 9, 11, 14),
+            (0, 2, 4, 7, 9, 11, 16),
+            (0, 2, 4, 7, 9, 11, 18),
+            (0, 2, 4, 7, 9, 14, 16),
+            (0, 2, 4, 9, 11, 16, 18),
+            (0, 2, 5, 7, 9, 12, 14),
+            (0, 2, 5, 7, 9, 14, 16),
+            (0, 2, 7, 9, 11, 16, 18),
+        ],
+    ),
+    ((-3, 2), 7, 22, 28, [(0, 1, 3, 4, 6, 7, 9)]),
+    # the progression is itself a witness
+    ((1, -3), 7, 24, 25, [(0, 1, 2, 3, 4, 5, 6), (0, 1, 3, 4, 6, 7, 9)]),
+    ((2, -3, 5), 8, 30, 69, [(0, 1, 2, 3, 4, 5, 6, 7)]),
+    ((-1, 3, 4), 8, 30, 57, [(0, 1, 2, 3, 4, 5, 6, 7)]),
+]
+
+
 class TestMinDilateSum:
     def test_two_points(self):
         result = min_dilate_sum(SearchConfig(DilateSpec((2, 3)), 2, 12))
@@ -91,14 +122,15 @@ class TestMinDilateSum:
         assert min_dilate_sum(config) == min_dilate_sum(config)
 
     # (minimum, total_witnesses, nodes_visited, nodes_pruned), measured
-    # against one running incumbent with the lookahead cut
+    # against one running incumbent, seeded by the least two-class set,
+    # with the lookahead cut
     # value + inc*r > incumbent, and with the reflection cut, which
     # neither visits nor counts a prefix whose every leaf the reflection
     # quotient drops.
     @pytest.mark.parametrize(
         "coeffs, n, r, counts",
         [
-            ((2, 3), 6, 14, (22, 1, 887, 355)),
+            ((2, 3), 6, 14, (22, 1, 698, 393)),
             ((-3, 2), 5, 12, (18, 1, 420, 0)),
             ((2, -3, 5), 5, 12, (39, 1, 152, 89)),
             ((1, 2, 4), 6, 14, (36, 1, 90, 61)),
@@ -113,38 +145,7 @@ class TestMinDilateSum:
             result.nodes_pruned,
         ) == counts
 
-    # Minima and complete witness lists at sizes the brute-force oracle
-    # cannot reach, computed by the search before any lookahead cut, so a
-    # cut that loses a witness or returns a wrong minimum fails here.
-    @pytest.mark.parametrize(
-        "coeffs, n, r, minimum, witnesses",
-        [
-            ((2, 3), 13, 30, 58, [(0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16, 18)]),
-            ((2, 3), 14, 30, 62, [(0, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18, 20)]),
-            ((2, 5), 9, 30, 45, [(0, 2, 4, 5, 7, 9, 10, 12, 14)]),
-            (
-                (2, 7),
-                7,
-                30,
-                33,
-                [
-                    (0, 2, 4, 7, 9, 11, 14),
-                    (0, 2, 4, 7, 9, 11, 16),
-                    (0, 2, 4, 7, 9, 11, 18),
-                    (0, 2, 4, 7, 9, 14, 16),
-                    (0, 2, 4, 9, 11, 16, 18),
-                    (0, 2, 5, 7, 9, 12, 14),
-                    (0, 2, 5, 7, 9, 14, 16),
-                    (0, 2, 7, 9, 11, 16, 18),
-                ],
-            ),
-            ((-3, 2), 7, 22, 28, [(0, 1, 3, 4, 6, 7, 9)]),
-            # the first witness ties the progression seed
-            ((1, -3), 7, 24, 25, [(0, 1, 2, 3, 4, 5, 6), (0, 1, 3, 4, 6, 7, 9)]),
-            ((2, -3, 5), 8, 30, 69, [(0, 1, 2, 3, 4, 5, 6, 7)]),
-            ((-1, 3, 4), 8, 30, 57, [(0, 1, 2, 3, 4, 5, 6, 7)]),
-        ],
-    )
+    @pytest.mark.parametrize("coeffs, n, r, minimum, witnesses", EXACT_PINS)
     def test_exact_pins_above_oracle_sizes(self, coeffs, n, r, minimum, witnesses):
         result = min_dilate_sum(SearchConfig(DilateSpec(coeffs), n, r))
         assert result.minimum == minimum
@@ -275,6 +276,75 @@ class TestReflectionCut:
                 assert [w.elements for w in result.witnesses] == expected_wits
 
 
+def progression_fold(coeffs, n, range_max):
+    """The seed of the walk before the two-class sets: the progression."""
+    return backend.fold_size(tuple((c, tuple(range(n))) for c in coeffs))
+
+
+class TestIncumbent:
+    """The walk's seed is the least fold over the two-class sets
+    (i // 2)*m + (i % 2)*c: family members, so the incumbent is never
+    below the minimum and nothing but the counters can move."""
+
+    @pytest.mark.parametrize(
+        "coeffs", [(2, 3), (-3, 2), (2, -3, 5), (1, 3), (5,), (2, 7), (-1, 3, 4)]
+    )
+    def test_candidates_are_family_members(self, monkeypatch, coeffs):
+        real = backend.fold_size
+        folded = []
+
+        def recorded(terms):
+            folded.append((terms, real(terms)))
+            return folded[-1][1]
+
+        monkeypatch.setattr(backend, "fold_size", recorded)
+        for n in range(2, 8):
+            for r in range(n - 1, 17):
+                folded.clear()
+                value = search._incumbent(coeffs, n, r)
+                assert tuple(range(n)) in [terms[0][1] for terms, _ in folded]
+                for terms, size in folded:
+                    assert [c for c, _ in terms] == list(coeffs)
+                    elems = terms[0][1]
+                    assert all(e == elems for _, e in terms)
+                    assert len(set(elems)) == n and sorted(elems) == list(elems)
+                    assert elems[0] == 0 and elems[-1] <= r
+                    assert math.gcd(*elems) == 1
+                    assert size == len(naive_dilate_sum(elems, coeffs))
+                assert value == min(size for _, size in folded)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(2, 3), (1, 3), (2, 5), (-3, 2), (1, -3), (-2, 5), (-3, 4), (2, -3, 5),
+         (-1, 3, 4), (5,)],
+    )
+    def test_same_answers_as_the_progression_seed(self, monkeypatch, coeffs):
+        spec = DilateSpec(coeffs)
+        configs = [
+            SearchConfig(spec, n, r, reflection_quotient=reflect)
+            for n in range(1, 8)
+            for r in range(n - 1, 17)
+            for reflect in (True, False)
+        ]
+        seeded = [min_dilate_sum(c) for c in configs]
+        monkeypatch.setattr(search, "_incumbent", progression_fold)
+        for config, got in zip(configs, seeded):
+            want = min_dilate_sum(config)
+            assert (got.minimum, got.witnesses, got.total_witnesses) == (
+                want.minimum,
+                want.witnesses,
+                want.total_witnesses,
+            ), config
+            assert got.nodes_visited <= want.nodes_visited, config
+
+    @pytest.mark.parametrize(
+        "pin, incumbent", zip(EXACT_PINS, [58, 62, 50, 34, 28, 25, 69, 57])
+    )
+    def test_incumbent_pinned(self, pin, incumbent):
+        coeffs, n, r, minimum, _ = pin
+        assert search._incumbent(coeffs, n, r) == incumbent >= minimum
+
+
 def charge_per_element(coeffs):
     """The charge of one element still to add, with no exact rows."""
     return search._charges(coeffs, 3, {})[1]
@@ -397,12 +467,12 @@ class TestConjectureProbe:
             assert row.deficiency == spec.weight * row.cardinality - expected_min
 
     def test_benchmark_table_nodes_pinned(self, monkeypatch):
-        # The probe table (2, 3), n = 2..8 at range 26 visits 61,643 nodes
-        # with the inc*r charge alone; its finished rows cut it to 39,461.
+        # The probe table (2, 3), n = 2..8 at range 26 visits 53,714 nodes
+        # with the inc*r charge alone; its finished rows cut it to 31,474.
         alone = [
             min_dilate_sum(SearchConfig(DilateSpec((2, 3)), n, 26)) for n in range(2, 9)
         ]
-        assert sum(r.nodes_visited for r in alone) == 61_643
+        assert sum(r.nodes_visited for r in alone) == 53_714
         results = []
         real = search.min_dilate_sum
 
@@ -413,7 +483,7 @@ class TestConjectureProbe:
         monkeypatch.setattr(search, "min_dilate_sum", recorded)
         conjecture_probe((2, 3), range(2, 9), 26)
         assert [r.minimum for r in results] == [r.minimum for r in alone]
-        assert sum(r.nodes_visited for r in results) == 39_461
+        assert sum(r.nodes_visited for r in results) == 31_474
 
     @pytest.mark.parametrize(
         "k, cardinalities, range_max, slack, attaining",
