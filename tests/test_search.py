@@ -123,10 +123,9 @@ class TestMinDilateSum:
 
     # (minimum, total_witnesses, nodes_visited, nodes_pruned), measured
     # against one running incumbent, seeded by the least two-class set,
-    # with the lookahead cut
-    # value + inc*r > incumbent, and with the reflection cut, which
-    # neither visits nor counts a prefix whose every leaf the reflection
-    # quotient drops.
+    # with the lookahead cut value + inc*r > incumbent, and with the
+    # reflection cut, which neither visits nor counts a prefix whose every
+    # leaf the reflection quotient drops.
     @pytest.mark.parametrize(
         "coeffs, n, r, counts",
         [
@@ -277,7 +276,7 @@ class TestReflectionCut:
 
 
 def progression_fold(coeffs, n, range_max):
-    """The seed of the walk before the two-class sets: the progression."""
+    """The fold of the progression {0..n-1}, the two-class set m = 2, c = 1."""
     return backend.fold_size(tuple((c, tuple(range(n))) for c in coeffs))
 
 
