@@ -1,4 +1,4 @@
-"""Kernels: the pairwise merge and the bitmask fold with its readout.
+"""Kernels: the pairwise merges and the bitmask fold with its readout.
 
 A bitmask is a Python int read against a base: bit p marks the value
 base + p. This module is the only one that builds or reads such masks;
@@ -15,11 +15,19 @@ exactly when their r agree and so do their q + y. Hence the size is the
 sum, over the classes r, of |Q_r + Y|: one mask of Y, shifted by each q
 of the class, on about 1/g of the span of the whole fold. For 2A+kA the
 split term is 2A and g = k, the paper's decomposition of A mod k.
+
+There are two pairwise merges. ``sumset_elements`` returns the hash set
+of sums, for counting and membership. ``sorted_sumset`` returns them as
+a sorted tuple with no hash set: one operand is sorted, each element of
+the other adds a row, which is then an ascending run, ``list.sort``
+merges the runs, and the duplicates, now adjacent, are dropped by
+comparing neighbours at C level.
 """
 
 import math
 from collections import defaultdict
-from itertools import compress
+from itertools import compress, islice
+from operator import ne
 
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -27,6 +35,24 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")
 def sumset_elements(a, b):
     """Set of the pairwise sums of two nonempty int iterables, unsorted."""
     return {x + y for x in a for y in b}
+
+
+def sorted_sumset(a, b):
+    """Sorted tuple of the distinct pairwise sums of two nonempty int sequences.
+
+    The longer operand is sorted (linear when it already runs one way)
+    and the shorter one's elements each add it as a row, so the sums form
+    min(|a|, |b|) ascending runs, which the sort merges in
+    O(|a||b| log min(|a|, |b|)). Duplicates are then adjacent, and an
+    element is kept when it differs from its predecessor.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    a = sorted(a)
+    sums = [x + y for y in b for x in a]
+    sums.sort()
+    keep = map(ne, islice(sums, 1, None), sums)
+    return (sums[0], *compress(islice(sums, 1, None), keep))
 
 
 def fold_mask(coeffs, sets):

@@ -6,7 +6,7 @@ from dilates import _core_py, backend
 from dilates.backend import fold_elements, fold_size, sumset, use_backend
 from dilates.bounds import ap_recompute
 from dilates.errors import ArithmeticRangeError, MergeLimitError
-from dilates.intset import IntSet, dilate_sum, minkowski_sum
+from dilates.intset import IntSet, dilate_sum, dilate_sum_size, minkowski_sum
 
 from bruteforce import naive_fold, naive_sumset
 
@@ -33,7 +33,7 @@ coeff_lists = st.lists(
 @settings(max_examples=100)
 @example((-1000, -257, -64, -3, 0, 12), (-4096, -77, -1, 5, 300))
 def test_sumset_matches_oracle(a, b):
-    # The merge kernel returns an unordered set; sumset sorts it.
+    # sumset returns the sorted merge kernel's tuple as it is.
     got = sumset(a, b)
     assert isinstance(got, tuple)
     assert list(got) == naive_sumset(a, b)
@@ -152,13 +152,14 @@ class _KernelLog:
 def test_merge_refusal_same_from_size_and_elements(monkeypatch, terms, message, merged):
     monkeypatch.setattr(backend, "MERGE_PAIR_LIMIT", 12)
     monkeypatch.setattr(backend, "BITSET_SPAN_LIMIT", 0)
-    for entry in (fold_size, fold_elements):
+    # fold_size counts the merge's set; fold_elements merges sorted runs.
+    for entry, kernel in ((fold_size, "sumset_elements"), (fold_elements, "sorted_sumset")):
         log = _KernelLog()
         monkeypatch.setattr(backend, "_impl", log)
         with pytest.raises(MergeLimitError) as err:
             entry(terms)
         assert str(err.value) == message
-        assert log.names == ["sumset_elements"] * merged
+        assert log.names == [kernel] * merged
 
 
 def test_dense_dilate_sum_takes_mask_route(monkeypatch):
@@ -180,7 +181,7 @@ def test_fold_route_threshold(monkeypatch, delta):
     log = _KernelLog()
     monkeypatch.setattr(backend, "_impl", log)
     assert list(fold_elements(terms)) == naive_fold(terms)
-    assert log.names == (["sumset_elements"] if delta > 0 else ["fold_mask", "mask_elements"])
+    assert log.names == (["sorted_sumset"] if delta > 0 else ["fold_mask", "mask_elements"])
 
 
 wide_sets = st.sets(st.integers(-300, 300), min_size=1, max_size=6).map(
@@ -201,10 +202,68 @@ def test_fold_routes_match_oracle(terms):
         mp.setattr(backend, "FOLD_BITS_PER_SUM", backend.BITSET_SPAN_LIMIT)
         assert list(fold_elements(terms)) == expected
         # Every fold with a nonzero span merges: the size counts the
-        # merge's set, the elements are that set sorted once.
+        # merge's set, the elements come from merging sorted runs.
         mp.setattr(backend, "BITSET_SPAN_LIMIT", 0)
         assert fold_size(terms) == len(expected)
         assert list(fold_elements(terms)) == expected
+
+
+# The orders an operand of sorted_sumset may come in: ascending,
+# descending (a negative dilate), or a set in hash order.
+operand_orders = st.sampled_from([sorted, lambda s: sorted(s, reverse=True), set])
+
+
+@given(
+    st.sets(st.integers(-60, 60), min_size=1, max_size=12),
+    st.sets(st.integers(-60, 60), min_size=1, max_size=12),
+    operand_orders,
+    operand_orders,
+)
+@settings(max_examples=200)
+@example({7}, {-3}, sorted, set)  # singletons
+@example({-9, -4, 0}, {5}, set, sorted)  # one row
+@example({-60, -1, 60}, {-60, 0, 1, 59}, lambda s: sorted(s, reverse=True), set)
+def test_sorted_sumset_matches_oracle(a, b, order_a, order_b):
+    got = _core_py.sorted_sumset(order_a(a), order_b(b))
+    assert isinstance(got, tuple)
+    assert all(x < y for x, y in zip(got, got[1:]))
+    assert list(got) == naive_sumset(a, b)
+
+
+@given(
+    st.integers(-30, 30),
+    st.integers(-30, 30),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(1, 15),
+    st.integers(1, 15),
+    operand_orders,
+)
+@settings(max_examples=100)
+@example(0, 0, 1, 1, 15, 15, sorted)  # 225 pairs, 29 sums
+def test_sorted_sumset_on_progressions(lo_a, lo_b, d, m, n_a, n_b, order):
+    # Progressions with differences d and m*d: most pairs collide.
+    a = range(lo_a, lo_a + d * n_a, d)
+    b = range(lo_b, lo_b + m * d * n_b, m * d)
+    got = _core_py.sorted_sumset(order(a), b)
+    assert all(x < y for x, y in zip(got, got[1:]))
+    assert list(got) == naive_sumset(a, b)
+
+
+def test_wide_dilate_sum_merges_sorted_runs(monkeypatch):
+    # A span of 6.3e10 bits: both steps of the three-term fold merge. The
+    # elements come from the sorted merge once per step, the size from the
+    # set merge once per step.
+    a = IntSet((-5 * 10**9, -3, 0, 10**9 + 7, 4 * 10**9))
+    spec = (1, -2, 4)
+    expected = naive_fold([(c, a.elements) for c in spec])
+    log = _KernelLog()
+    monkeypatch.setattr(backend, "_impl", log)
+    assert list(dilate_sum(a, spec).elements) == expected
+    assert log.names == ["sorted_sumset"] * 2
+    log.names.clear()
+    assert dilate_sum_size(a, spec) == len(expected)
+    assert log.names == ["sumset_elements"] * 2
 
 
 def test_sparse_fold_size_calls_one_kernel(monkeypatch):
