@@ -14,7 +14,6 @@ from .bounds import (
     bound_marginal_total,
     check_faithful,
     check_suite,
-    deficiency,
 )
 from .components import (
     component_count,
@@ -27,7 +26,6 @@ from .components import (
 from .errors import (
     ArithmeticRangeError,
     DilatesError,
-    HypothesisError,
     InvalidCoefficientError,
     InvalidComponentError,
     InvalidModulusError,
@@ -58,7 +56,6 @@ __all__ = [
     "BoundReport",
     "DilateSpec",
     "DilatesError",
-    "HypothesisError",
     "IntSet",
     "InvalidCoefficientError",
     "InvalidComponentError",
@@ -83,7 +80,6 @@ __all__ = [
     "component_count",
     "conjecture_probe",
     "decompose",
-    "deficiency",
     "dilate",
     "dilate_sum",
     "dilate_sum_size",

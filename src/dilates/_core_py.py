@@ -1,9 +1,12 @@
 """Kernels: the pairwise merges and the bitmask fold with its readout.
 
 A bitmask is a Python int read against a base: bit p marks the value
-base + p. This module is the only one that builds or reads such masks;
-dispatch and all 64-bit precondition checks live in ``backend``. Plain
-Python ints make every result exact regardless of operand size.
+base + p. Two callers outside this module also work on masks:
+``components.marginal_set`` shifts and and-nots two ``fold_mask`` results
+and makes its own 64-bit checks, and ``search._walk`` builds one mask per
+subset of the coefficients. Dispatch and the fold's 64-bit precondition
+checks live in ``backend``. Plain Python ints make every result exact
+regardless of operand size.
 
 A fold's first term is written into a bytearray in one pass and turned
 into an int once; each later term ORs one shifted copy of the running

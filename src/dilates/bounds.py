@@ -38,10 +38,9 @@ from .components import (
 from .errors import (
     ArithmeticRangeError,
     DilatesError,
-    HypothesisError,
     InvalidModulusError,
 )
-from .intset import IntSet, canonicalize, dilate_sum_size, _coerce_spec
+from .intset import IntSet, canonicalize, _coerce_spec
 
 # Largest odd prime whose bound constants 4*k^(k-1) and 8*k^k both stay
 # inside int64; the next prime, 17, does not.
@@ -133,9 +132,9 @@ def bound_basic(a: IntSet, b: IntSet, n: int, m: int) -> BoundReport:
 # checker folds it, so check_suite can share one fold between checkers.
 def _bound_basic(a, b, n, m, size):
     hypotheses = {
-        "n_ge_2": isinstance(n, int) and n >= 2,
-        "m_ge_2": isinstance(m, int) and m >= 2,
-        "coprime": isinstance(n, int) and isinstance(m, int) and math.gcd(n, m) == 1,
+        "n_ge_2": n >= 2,
+        "m_ge_2": m >= 2,
+        "coprime": math.gcd(n, m) == 1,
     }
     if not all(hypotheses.values()):
         return _report("basic_bound", GE, None, None, hypotheses)
@@ -159,9 +158,9 @@ def bound_four(a: IntSet, n: int, m: int) -> BoundReport:
 
 def _bound_four(a, n, m, size):
     hypotheses = {
-        "n_ge_2": isinstance(n, int) and n >= 2,
-        "n_lt_m": isinstance(n, int) and isinstance(m, int) and n < m,
-        "coprime": isinstance(n, int) and isinstance(m, int) and math.gcd(n, m) == 1,
+        "n_ge_2": n >= 2,
+        "n_lt_m": n < m,
+        "coprime": math.gcd(n, m) == 1,
     }
     if not all(hypotheses.values()):
         return _report("four_bound", GE, None, None, hypotheses)
@@ -181,7 +180,7 @@ def bound_full_semifull(a: IntSet, m: int) -> BoundReport:
 
 
 def _bound_full_semifull(a, m, size):
-    if not isinstance(m, int) or m < 3 or m % 2 == 0:
+    if m < 3 or m % 2 == 0:
         raise InvalidModulusError(f"modulus must be an odd integer >= 3, got {m!r}")
     full = is_full(a, m)
     semi = is_semi_full(a, m)
@@ -371,21 +370,6 @@ def ap_recompute(n: int, k: int) -> int:
     """
     p = range(_cardinality(n))
     return fold_size(tuple((m, p) for m in _coerce_spec((2, k))))
-
-
-def deficiency(a: IntSet, spec) -> int:
-    """Gap between the first-order mass bound and the true dilate-sum size.
-
-    Returns (sum of |m|)*|a| - |dilate_sum(a, spec)|; requires the
-    coefficient magnitudes to be coprime overall. The value is reported
-    as-is and may in principle be any integer.
-    """
-    spec = _coerce_spec(spec)
-    if spec.magnitude_gcd != 1:
-        raise HypothesisError(
-            f"coefficient magnitudes {spec.coefficients} must have gcd 1"
-        )
-    return spec.weight * len(a) - dilate_sum_size(a, spec)
 
 
 def check_suite(a: IntSet, k: int):

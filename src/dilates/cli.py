@@ -4,7 +4,7 @@ Every subcommand prints one JSON payload with top-level keys "command",
 "params", "results"; `check` and `probe` can emit CSV instead. Identical
 inputs produce byte-identical payloads. Exit codes: 0 success, 1 a
 verified inequality failed (for `ap`, the exact size disagreed with the
-fold), 2 usage or hypothesis error, 3 arithmetic range error.
+fold), 2 usage or input error, 3 arithmetic range error.
 """
 
 import argparse

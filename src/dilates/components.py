@@ -147,7 +147,7 @@ def marginal_set(c: IntSet, a: IntSet, k: int):
         # kernel's raw set, with no checks, IntSet or sort.
         small = backend._impl.sumset_elements(twice_c.elements, [k * x for x in c.elements])
         return tuple(x for x in big.elements if x not in small)
-    # The merge route's range checks, on the same extremes in the same order.
+    # These checks repeat the merge route's, on the same extremes in the same order.
     check_int64(2 * c.min, "dilated value")
     check_int64(2 * c.max, "dilated value")
     check_int64(k * a.min, "dilated value")

@@ -25,9 +25,5 @@ class InvalidComponentError(DilatesError):
     """A set passed as a congruence component of another set is not one."""
 
 
-class HypothesisError(DilatesError):
-    """An arithmetic hypothesis (for example gcd(|Z|) = 1) does not hold."""
-
-
 class SearchConfigError(DilatesError):
     """A search parameter set is inconsistent."""

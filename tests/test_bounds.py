@@ -3,7 +3,6 @@ import pytest
 import dilates.bounds
 from dilates import (
     ArithmeticRangeError,
-    HypothesisError,
     IntSet,
     InvalidModulusError,
     MergeLimitError,
@@ -17,7 +16,6 @@ from dilates import (
     bound_marginal_total,
     check_faithful,
     check_suite,
-    deficiency,
 )
 
 from bruteforce import naive_canonical_family, naive_dilate_sum, naive_fold
@@ -356,17 +354,6 @@ class TestApExactSize:
             ap_recompute(4.0, 3)
         with pytest.raises(TypeError):
             ap_recompute(4, 3.0)
-
-
-class TestDeficiency:
-    def test_examples(self):
-        assert deficiency(IntSet([0, 1]), (2, 3)) == 6
-        assert deficiency(IntSet([0, 1, 3]), (2, 3)) == 7
-        assert deficiency(IntSet([0, 1]), (1, 3)) == 4
-
-    def test_gcd_hypothesis(self):
-        with pytest.raises(HypothesisError):
-            deficiency(IntSet([0, 1]), (2, 4))
 
 
 class TestCheckSuite:

@@ -215,6 +215,13 @@ class TestProbe:
             (3, 8, 7),
         ]
 
+    def test_caveat_when_witness_touches_range(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "probe", "--coeffs", "2,3", "--n-from", "3", "--n-to", "3", "--range", "2"
+        )
+        assert code == 0
+        assert payload(out)["results"]["caveats"] == ["witness for n=3 touches range_max=2"]
+
     def test_csv_matches_json(self, capsys):
         args = ["probe", "--coeffs", "2,3", "--n-from", "1", "--n-to", "4",
                 "--range", "12"]

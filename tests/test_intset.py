@@ -60,6 +60,8 @@ class TestIntSet:
         assert a.min == -2 and a.max == 9 and a.span == 11
         assert 5 in a and 6 not in a
         assert a == IntSet([9, 5, -2])
+        assert IntSet([1]) != (1,)
+        assert not (IntSet([1]) == [1])
         # `<` on a Python set means proper subset, so IntSet defines no order.
         with pytest.raises(TypeError):
             IntSet([0, 1]) < IntSet([0, 2])
