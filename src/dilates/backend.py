@@ -1,7 +1,8 @@
 """Kernel dispatch and the 64-bit range discipline.
 
-The kernels live in ``_core_py`` and are called through ``_impl``, so
-they can be replaced as one unit:
+The kernels live in ``_core_py`` and are called through ``_impl``, the
+one seam where callers substitute them: ``perfbench/tracing.py`` installs
+its kernel wrappers there, and the tests put kernel logs in its place:
 
     sumset_elements(a, b)           -> set of pairwise sums, unsorted
     sorted_sumset(a, b)             -> sorted tuple of the distinct

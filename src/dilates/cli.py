@@ -10,7 +10,6 @@ fold), 2 usage or input error, 3 arithmetic range error.
 import argparse
 import csv
 import functools
-import io
 import json
 import sys
 
@@ -41,16 +40,15 @@ def _parse_coeffs(text):
     return DilateSpec(tuple(_parse_ints(text, "--coeffs")))
 
 
-def _emit_json(payload):
+def _emit_json(command, params, results):
+    payload = {"command": command, "params": params, "results": results}
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _emit_csv(header, rows):
-    out = io.StringIO()
-    writer = csv.writer(out)
+    writer = csv.writer(sys.stdout)
     writer.writerow(header)
     writer.writerows(rows)
-    sys.stdout.write(out.getvalue())
 
 
 def _cmd_sum(args):
@@ -58,11 +56,9 @@ def _cmd_sum(args):
     spec = _parse_coeffs(args.coeffs)
     total = dilate_sum(a, spec)
     _emit_json(
-        {
-            "command": "sum",
-            "params": {"set": list(a.elements), "coeffs": list(spec.coefficients)},
-            "results": {"size": len(total), "elements": list(total.elements)},
-        }
+        "sum",
+        {"set": list(a.elements), "coeffs": list(spec.coefficients)},
+        {"size": len(total), "elements": list(total.elements)},
     )
     return 0
 
@@ -83,13 +79,7 @@ def _cmd_check(args):
             ],
         )
     else:
-        _emit_json(
-            {
-                "command": "check",
-                "params": {"set": list(a.elements), "k": args.k},
-                "results": {"reports": records},
-            }
-        )
+        _emit_json("check", {"set": list(a.elements), "k": args.k}, {"reports": records})
     return 1 if any(r.verdict == "fails" for r in reports) else 0
 
 
@@ -115,17 +105,15 @@ def _cmd_search(args):
     results = result.to_payload()
     results["caveats"] = _search_caveats(result, args.range)
     _emit_json(
+        "search",
         {
-            "command": "search",
-            "params": {
-                "coeffs": list(config.spec.coefficients),
-                "n": args.n,
-                "range": args.range,
-                "reflection_quotient": config.reflection_quotient,
-                "threads": args.threads,
-            },
-            "results": results,
-        }
+            "coeffs": list(config.spec.coefficients),
+            "n": args.n,
+            "range": args.range,
+            "reflection_quotient": config.reflection_quotient,
+            "threads": args.threads,
+        },
+        results,
     )
     return 0
 
@@ -155,28 +143,26 @@ def _cmd_probe(args):
         if row.witness.max == args.range
     ]
     _emit_json(
+        "probe",
         {
-            "command": "probe",
-            "params": {
-                "coeffs": list(spec.coefficients),
-                "n_from": args.n_from,
-                "n_to": args.n_to,
-                "range": args.range,
-            },
-            "results": {
-                "rows": [
-                    {
-                        "n": row.cardinality,
-                        "minimum": row.minimum,
-                        "deficiency": row.deficiency,
-                        "witness": list(row.witness.elements),
-                        "total_witnesses": row.total_witnesses,
-                    }
-                    for row in rows
-                ],
-                "caveats": caveats,
-            },
-        }
+            "coeffs": list(spec.coefficients),
+            "n_from": args.n_from,
+            "n_to": args.n_to,
+            "range": args.range,
+        },
+        {
+            "rows": [
+                {
+                    "n": row.cardinality,
+                    "minimum": row.minimum,
+                    "deficiency": row.deficiency,
+                    "witness": list(row.witness.elements),
+                    "total_witnesses": row.total_witnesses,
+                }
+                for row in rows
+            ],
+            "caveats": caveats,
+        },
     )
     return 0
 
@@ -186,15 +172,9 @@ def _cmd_ap(args):
     recomputed = ap_recompute(args.n, args.k)
     matches = value == recomputed
     _emit_json(
-        {
-            "command": "ap",
-            "params": {"n": args.n, "k": args.k},
-            "results": {
-                "value": value,
-                "recomputed": recomputed,
-                "matches": matches,
-            },
-        }
+        "ap",
+        {"n": args.n, "k": args.k},
+        {"value": value, "recomputed": recomputed, "matches": matches},
     )
     return 0 if matches else 1
 

@@ -85,11 +85,16 @@ def is_full(a: IntSet, n: int) -> bool:
 
 def is_semi_full(a: IntSet, n: int) -> bool:
     """True when every modulus-n component of ``a`` meets exactly n classes
-    modulo n**2."""
+    modulo n**2.
+
+    Each class mod n**2 lies in one class mod n, and each class mod n holds
+    n classes mod n**2, so every component meets at most n of them. The
+    condition is therefore that ``a`` meets n times as many classes mod
+    n**2 as mod n."""
     _require_modulus(n)
     if n * n > INT64_MAX:
         raise ArithmeticRangeError(f"n**2 overflows for n={n}")
-    return all(component_count(c, n * n) == n for c in decompose(a, n).values())
+    return component_count(a, n * n) == n * component_count(a, n)
 
 
 def _checked_component(c: IntSet, a: IntSet, k: int):

@@ -139,7 +139,8 @@ from . import backend
 from .errors import SearchConfigError
 from .intset import DilateSpec, IntSet, _coerce_spec
 
-# A result lists at most this many witnesses; total_witnesses stays exact.
+# The walk keeps at most this many witnesses, the first in lexicographic
+# order; it counts every one, so total_witnesses stays exact.
 WITNESS_CAP = 64
 
 
@@ -280,12 +281,13 @@ def _walk(config, seed, plan, charge):
     full_terms = terms[full]
     best = seed
     witnesses = []
+    total = 0
     visited = 0
     pruned = 0
 
     def expand(prefix, masks, nxts):
         """Visit the children prefix + (x,) for x in nxts, in order."""
-        nonlocal best, visited, pruned
+        nonlocal best, total, visited, pruned
         inner = len(prefix) < n - 1
         top = r_max - (n - len(prefix) - 2)
         # True when the grandchildren prefix + (x, y) are leaves.
@@ -328,14 +330,17 @@ def _walk(config, seed, plan, charge):
             if value < best:
                 best = value
                 witnesses.clear()
-            witnesses.append(leaf)
+                total = 0
+            total += 1
+            if len(witnesses) < WITNESS_CAP:
+                witnesses.append(leaf)
 
     # The masks of the prefix (0,): its one sum over U sits at D_U.
     root = [1 << d for d in offsets]
     # With the reflection cut, a_1 <= (R - n + 3) // 2 (see the module docstring).
     top = (r_max - n + 3) // 2 if reflect and n > 2 else r_max - n + 2
     expand((0,), root, range(1, top + 1))
-    return best, witnesses, visited, pruned
+    return best, witnesses, total, visited, pruned
 
 
 def _incumbent(coeffs, n, range_max):
@@ -399,15 +404,15 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
     coeffs = config.spec.coefficients
     seed = _incumbent(coeffs, n, config.range_max)
     exact = config.finished if isinstance(config, _ProbeRowConfig) else {}
-    best, witnesses, visited, pruned = _walk(
+    best, witnesses, total, visited, pruned = _walk(
         config, seed, _mask_plan(coeffs, config.range_max), _charges(coeffs, n, exact)
     )
     if not witnesses:
         raise RuntimeError("canonical family unexpectedly empty")
     return SearchResult(
         minimum=best,
-        witnesses=[IntSet._wrap(w) for w in witnesses[:WITNESS_CAP]],
-        total_witnesses=len(witnesses),
+        witnesses=[IntSet._wrap(w) for w in witnesses],
+        total_witnesses=total,
         nodes_visited=visited,
         nodes_pruned=pruned,
     )

@@ -336,11 +336,32 @@ class TestAp:
         assert err == "error: merge of 5 x 5 elements would form 25 sums, above the limit of 16\n"
 
 
-# sha256 of stdout payloads that must stay byte-identical: `check` in both
-# formats, and `ap` where the paper's closed form is exact (n >= k).
+# sha256 of stdout payloads that must stay byte-identical: `sum`, `search`
+# with and without a caveat, `check` in both formats, and `ap` where the
+# paper's closed form is exact (n >= k).
 @pytest.mark.parametrize(
     "argv, digest",
     [
+        (
+            ["sum", "--set", "0,1,3", "--coeffs", "2,3"],
+            "4dee58969659a5e28a877085e32ebab607b4b2ff2c49f78f5558ae07233e07f3",
+        ),
+        (
+            ["sum", "--set=-5,1,4", "--coeffs=-3,2,7"],
+            "2bfca1f4a0da91b42323be7d3da8fbc9644476665eba3ecb8cb98c05d265568b",
+        ),
+        (
+            ["search", "--coeffs", "2,3", "--n", "5", "--range", "12"],
+            "2b00ce7e448f8d11f7cb22d9eb5f6f8d7c81eddfc4fa62ff856072a2d75573cb",
+        ),
+        (
+            ["search", "--coeffs=-3,2", "--n", "4", "--range", "10", "--no-reflect"],
+            "980695a900145a95ea02829aba9278d0eb326997935fea45900312311ad7208d",
+        ),
+        (
+            ["search", "--coeffs", "2,3", "--n", "3", "--range", "2"],
+            "6668fadea5c5be5e0eae1553a032c4d3cc31976115498a865306259802db307e",
+        ),
         (
             ["check", "--set", "0,1,2,5", "--k", "3"],
             "93b07f4608d55aaed51ff05b99688b330891ee8476ffc6dabb4e584baf832589",

@@ -120,6 +120,29 @@ class TestFullness:
         assert not is_semi_full(IntSet([0, 1, 2]), 3)
         assert not is_semi_full(IntSet([0, 9, 18]), 3)
 
+    def test_is_semi_full_matches_components(self):
+        # Half the sets are built semi-full, every chosen class mod n**2
+        # met by one or two elements, and then lose an element half the time.
+        rng = random.Random(23)
+        for _ in range(400):
+            n = rng.choice([2, 3, 5, 7, 9, 13])
+            if rng.random() < 0.5:
+                elems = rng.sample(range(-n**3, n**3), rng.randint(1, 3 * n))
+            else:
+                elems = {
+                    r + j * n + n * n * rng.randint(-n, n)
+                    for r in rng.sample(range(n), rng.randint(1, n))
+                    for j in range(n)
+                    for _ in range(rng.randint(1, 2))
+                }
+                if rng.random() < 0.5:
+                    elems.discard(rng.choice(sorted(elems)))
+            expected = all(
+                len({x % (n * n) for x in comp}) == n
+                for comp in naive_components(elems, n).values()
+            )
+            assert is_semi_full(IntSet(elems), n) == expected
+
     def test_is_semi_full_refuses_overflowing_square(self):
         with pytest.raises(ArithmeticRangeError, match="overflows"):
             is_semi_full(IntSet([0]), 2**32)

@@ -221,6 +221,22 @@ class TestMinDilateSum:
         assert len(result.witnesses) == WITNESS_CAP == 64
         assert [w.elements for w in result.witnesses] == expected_wits[:WITNESS_CAP]
 
+    def test_walk_keeps_only_capped_witnesses(self, monkeypatch):
+        # The walk stores at most WITNESS_CAP witnesses but counts them all;
+        # with one coefficient every canonical set is a witness.
+        monkeypatch.setattr(search, "WITNESS_CAP", 3)
+        family = naive_canonical_family(5, 16)
+        result = min_dilate_sum(SearchConfig(DilateSpec((5,)), 5, 16))
+        assert (result.minimum, result.total_witnesses) == (5, len(family))
+        assert [w.elements for w in result.witnesses] == sorted(family)[:3]
+        # A drop of the incumbent clears the list and resets the count.
+        result = min_dilate_sum(SearchConfig(DilateSpec((2, 5)), 5, 9))
+        expected_min, expected_wits = naive_minimum((2, 5), 5, 9)
+        assert (result.minimum, result.total_witnesses) == (
+            expected_min, len(expected_wits)
+        )
+        assert [w.elements for w in result.witnesses] == expected_wits[:3]
+
     def test_monotone_in_cardinality(self):
         minima = [
             min_dilate_sum(SearchConfig(DilateSpec((2, 3)), n, 12)).minimum
