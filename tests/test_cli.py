@@ -336,12 +336,28 @@ class TestAp:
         assert err == "error: merge of 5 x 5 elements would form 25 sums, above the limit of 16\n"
 
 
-# sha256 of stdout payloads that must stay byte-identical: `sum`, `search`
-# with and without a caveat, `check` in both formats, and `ap` where the
-# paper's closed form is exact (n >= k).
+# sha256 of stdout payloads that must stay byte-identical: `check` in both
+# formats, `ap` where the paper's closed form is exact (n >= k), `sum`, and
+# `search` with and without a caveat.
 @pytest.mark.parametrize(
     "argv, digest",
     [
+        (
+            ["check", "--set", "0,1,2,5", "--k", "3"],
+            "93b07f4608d55aaed51ff05b99688b330891ee8476ffc6dabb4e584baf832589",
+        ),
+        (
+            ["check", "--set=-7,0,3,4,11,20", "--k", "5", "--csv"],
+            "97662a4adeaf117221fcda73cca00229ef17acacf91ad3460bbb9437d3527549",
+        ),
+        (
+            ["ap", "--n", "40", "--k", "3"],
+            "6c6e0a178a7b9b288fa19bdd6677e70a62a0d53ce6df908d19dfec811a39056a",
+        ),
+        (
+            ["ap", "--n", "7", "--k", "7"],
+            "0b71f308f214691c477b71fd42e93538e0348aac92cb7f5e7dc605d300b518f7",
+        ),
         (
             ["sum", "--set", "0,1,3", "--coeffs", "2,3"],
             "4dee58969659a5e28a877085e32ebab607b4b2ff2c49f78f5558ae07233e07f3",
@@ -361,22 +377,6 @@ class TestAp:
         (
             ["search", "--coeffs", "2,3", "--n", "3", "--range", "2"],
             "6668fadea5c5be5e0eae1553a032c4d3cc31976115498a865306259802db307e",
-        ),
-        (
-            ["check", "--set", "0,1,2,5", "--k", "3"],
-            "93b07f4608d55aaed51ff05b99688b330891ee8476ffc6dabb4e584baf832589",
-        ),
-        (
-            ["check", "--set=-7,0,3,4,11,20", "--k", "5", "--csv"],
-            "97662a4adeaf117221fcda73cca00229ef17acacf91ad3460bbb9437d3527549",
-        ),
-        (
-            ["ap", "--n", "40", "--k", "3"],
-            "6c6e0a178a7b9b288fa19bdd6677e70a62a0d53ce6df908d19dfec811a39056a",
-        ),
-        (
-            ["ap", "--n", "7", "--k", "7"],
-            "0b71f308f214691c477b71fd42e93538e0348aac92cb7f5e7dc605d300b518f7",
         ),
     ],
 )
