@@ -63,7 +63,7 @@ def use_backend(name):
     return "pure"
 
 
-def check_int64(value, what="value"):
+def check_int64(value, what):
     if value < INT64_MIN or value > INT64_MAX:
         raise ArithmeticRangeError(f"{what} {value} is outside the signed 64-bit range")
     return value

@@ -139,11 +139,8 @@ def _bound_basic(a, b, n, m, size):
     if not all(hypotheses.values()):
         return _report("basic_bound", GE, None, None, hypotheses)
     lhs = size()
-    rhs = (
-        component_count(b, n) * len(a)
-        + component_count(a, m) * len(b)
-        - component_count(a, m) * component_count(b, n)
-    )
+    b_classes, a_classes = component_count(b, n), component_count(a, m)
+    rhs = b_classes * len(a) + a_classes * len(b) - a_classes * b_classes
     return _report("basic_bound", GE, lhs, rhs, hypotheses)
 
 

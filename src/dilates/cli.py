@@ -83,15 +83,6 @@ def _cmd_check(args):
     return 1 if any(r.verdict == "fails" for r in reports) else 0
 
 
-def _search_caveats(result, range_max):
-    if any(w.max == range_max for w in result.witnesses):
-        return [
-            f"a witness touches range_max={range_max}; the minimum is relative "
-            "to [0, range_max] and may drop for larger ranges"
-        ]
-    return []
-
-
 def _cmd_search(args):
     config = SearchConfig(
         spec=_parse_coeffs(args.coeffs),
@@ -103,7 +94,12 @@ def _cmd_search(args):
         raise ValueError(f"--threads must be >= 1, got {args.threads}")
     result = min_dilate_sum(config)
     results = result.to_payload()
-    results["caveats"] = _search_caveats(result, args.range)
+    results["caveats"] = []
+    if result.touches_range:
+        results["caveats"].append(
+            f"a witness touches range_max={args.range}; the minimum is relative "
+            "to [0, range_max] and may drop for larger ranges"
+        )
     _emit_json(
         "search",
         {
@@ -140,7 +136,7 @@ def _cmd_probe(args):
     caveats = [
         f"witness for n={row.cardinality} touches range_max={args.range}"
         for row in rows
-        if row.witness.max == args.range
+        if row.touches_range
     ]
     _emit_json(
         "probe",

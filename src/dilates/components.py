@@ -119,48 +119,45 @@ def marginal_set(c: IntSet, a: IntSet, k: int):
     Any integer modulus k >= 2 works, since nothing below needs k prime;
     a non-integer k or k < 2 raises InvalidModulusError.
 
-    Every element of ``c`` is r + k*q for its residue r, so
-    2*c + k*x = 2r + k*(2q + x): 2C+kA = 2r + k*(2Q+A) and
-    2C+kC = 2r + k*(2Q+C), with Q = (C - r)/k. The marginal set is the
-    image of the difference of the reduced sets, whose span
-    2*(max Q - min Q) + span(A) is about k times smaller than that of
-    2C+kA. When that reduced span is at most MARGINAL_BITS_PER_ELEMENT
-    bits per element of ``a``, both reduced sets are folded as bitmasks
-    (A + 2*(Q - min Q) and C + 2*(Q - min Q)), aligned at min A, and the
-    marginal set is ``big & ~small``, read out without a Python loop over
-    the bits. Otherwise the pairwise merge runs. A bitmask costs |C|
-    shifts of the whole reduced span whatever |A| is, so on sparse sets
-    (uniform sets of a few hundred elements over spans of 1e5-1e6) it
-    loses to the merge's |C|*|A| sums. On the 44 sets of one pass of the
-    benchmark's check workload, check_suite took 1.6-1.7 s of CPU with the
-    merge everywhere, 1.8-2.2 s with bitmasks everywhere, and 0.62-0.80,
-    0.67-0.78 and 0.84-0.88 s with this rule at 8, 16 and 64 words per
-    element (fastest of three passes, two runs, Python 3.11, 2-CPU shared
-    host), so 8 and 16 words are within the host's noise. Folding both
-    masks with fold_mask measured no slower than writing mask(A) and
-    mask(C) from binary digits. Both routes give the same tuple and raise
-    the same ArithmeticRangeError on the same inputs.
+    Every element of ``c`` is m + k*q with m = min C, so
+    2*c + k*x = 2m + k*(2q + x): 2C+kA = 2m + k*(A+2Q) and
+    2C+kC = 2m + k*(C+2Q), with Q = (C - m)/k. The range checks of 2C+kA
+    (its dilated extremes, then its extreme sums) run once; every reduced
+    sum and its image lie within them. Both routes then take the marginal
+    set as the image of the difference of the reduced sets, whose span
+    2*max Q + span(A) is about k times smaller than that of 2C+kA. While
+    that span is at most MARGINAL_BITS_PER_ELEMENT bits per element of
+    ``a``, both are folded as bitmasks, aligned at min A, and the marginal
+    set is ``big & ~small``, read out without a Python loop over the bits.
+    Otherwise A+2Q is merged pairwise and filtered against C+2Q. A bitmask
+    costs |C| shifts of the whole reduced span whatever |A| is, so on
+    sparse sets (uniform sets of a few hundred elements over spans of
+    1e5-1e6) it loses to the merge's |C|*|A| sums. On the 44 sets of one
+    pass of the benchmark's check workload, check_suite took 1.6-1.7 s of
+    CPU with the merge everywhere, 1.8-2.2 s with bitmasks everywhere, and
+    0.62-0.80, 0.67-0.78 and 0.84-0.88 s with this rule at 8, 16 and 64
+    words per element (fastest of three passes, two runs, Python 3.11,
+    2-CPU shared host), so 8 and 16 words are within the host's noise.
+    Folding both masks with fold_mask measured no slower than writing
+    mask(A) and mask(C) from binary digits.
     """
     _checked_component(c, a, k)
-    q_span = (c.max - c.min) // k
-    if 2 * q_span + a.span > MARGINAL_BITS_PER_ELEMENT * len(a):
-        twice_c = dilate(c, 2)
-        big = minkowski_sum(twice_c, dilate(a, k))
-        # C is a subset of A, so 2C+kC is a subset of 2C+kA: its |C|*|C|
-        # pairs, its dilates k*C and its extreme sums lie within the ones
-        # big's pair and range checks just passed. It is formed as the
-        # kernel's raw set, with no checks, IntSet or sort.
-        small = backend._impl.sumset_elements(twice_c.elements, [k * x for x in c.elements])
-        return tuple(x for x in big.elements if x not in small)
-    # These checks repeat the merge route's, on the same extremes in the same order.
     check_int64(2 * c.min, "dilated value")
     check_int64(2 * c.max, "dilated value")
     check_int64(k * a.min, "dilated value")
     check_int64(k * a.max, "dilated value")
-    base = check_int64(2 * c.min + k * a.min, "sumset minimum")
+    check_int64(2 * c.min + k * a.min, "sumset minimum")
     check_int64(2 * c.max + k * a.max, "sumset maximum")
-    q = [(x - c.min) // k for x in c.elements]
-    big_base, big = backend._impl.fold_mask((1, 2), (a.elements, q))
-    small_base, small = backend._impl.fold_mask((1, 2), (c.elements, q))
+    base = 2 * c.min
+    q = IntSet._wrap(tuple((x - c.min) // k for x in c.elements))
+    if 2 * q.max + a.span > MARGINAL_BITS_PER_ELEMENT * len(a):
+        twice_q = dilate(q, 2)
+        big = minkowski_sum(twice_q, a)
+        # C+2Q is a subset of A+2Q, so it is formed as the kernel's raw
+        # set, with no checks, IntSet or sort.
+        small = backend._impl.sumset_elements(twice_q.elements, c.elements)
+        return tuple(base + k * y for y in big.elements if y not in small)
+    big_base, big = backend._impl.fold_mask((1, 2), (a.elements, q.elements))
+    small_base, small = backend._impl.fold_mask((1, 2), (c.elements, q.elements))
     marginal = big & ~(small << (small_base - big_base))
-    return backend._impl.mask_elements(base, marginal, k)
+    return backend._impl.mask_elements(base + k * big_base, marginal, k)

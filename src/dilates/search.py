@@ -187,6 +187,8 @@ class SearchResult:
     add exceeds the running incumbent (see the module docstring).
     Prefixes skipped by the reflection cut, whose every leaf the
     reflection quotient drops, are neither visited nor counted as pruned.
+    ``touches_range`` is True when some witness, listed or not, has
+    maximum range_max; it is not part of the payload.
     """
 
     minimum: int
@@ -194,6 +196,7 @@ class SearchResult:
     total_witnesses: int
     nodes_visited: int
     nodes_pruned: int
+    touches_range: bool
 
     def to_payload(self) -> dict:
         return {
@@ -282,12 +285,13 @@ def _walk(config, seed, plan, charge):
     best = seed
     witnesses = []
     total = 0
+    touches = False
     visited = 0
     pruned = 0
 
     def expand(prefix, masks, nxts):
         """Visit the children prefix + (x,) for x in nxts, in order."""
-        nonlocal best, total, visited, pruned
+        nonlocal best, total, touches, visited, pruned
         inner = len(prefix) < n - 1
         top = r_max - (n - len(prefix) - 2)
         # True when the grandchildren prefix + (x, y) are leaves.
@@ -331,7 +335,10 @@ def _walk(config, seed, plan, charge):
                 best = value
                 witnesses.clear()
                 total = 0
+                touches = False
             total += 1
+            if x == r_max:
+                touches = True
             if len(witnesses) < WITNESS_CAP:
                 witnesses.append(leaf)
 
@@ -340,7 +347,7 @@ def _walk(config, seed, plan, charge):
     # With the reflection cut, a_1 <= (R - n + 3) // 2 (see the module docstring).
     top = (r_max - n + 3) // 2 if reflect and n > 2 else r_max - n + 2
     expand((0,), root, range(1, top + 1))
-    return best, witnesses, total, visited, pruned
+    return best, witnesses, total, touches, visited, pruned
 
 
 def _incumbent(coeffs, n, range_max):
@@ -399,12 +406,13 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
             total_witnesses=1,
             nodes_visited=1,
             nodes_pruned=0,
+            touches_range=config.range_max == 0,
         )
 
     coeffs = config.spec.coefficients
     seed = _incumbent(coeffs, n, config.range_max)
     exact = config.finished if isinstance(config, _ProbeRowConfig) else {}
-    best, witnesses, total, visited, pruned = _walk(
+    best, witnesses, total, touches, visited, pruned = _walk(
         config, seed, _mask_plan(coeffs, config.range_max), _charges(coeffs, n, exact)
     )
     if not witnesses:
@@ -415,6 +423,7 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
         total_witnesses=total,
         nodes_visited=visited,
         nodes_pruned=pruned,
+        touches_range=touches,
     )
 
 
@@ -445,13 +454,15 @@ def _probe_cardinalities(spec, cardinalities, range_max):
 
 @dataclass(frozen=True)
 class ProbeRow:
-    """One cardinality's row of a conjecture-probe table."""
+    """One cardinality's row of a conjecture-probe table: ``witness`` is its
+    first witness, and ``touches_range`` is as in SearchResult."""
 
     cardinality: int
     minimum: int
     deficiency: int
     witness: IntSet
     total_witnesses: int
+    touches_range: bool
 
 
 def conjecture_probe(spec, cardinalities, range_max: int):
@@ -479,6 +490,7 @@ def conjecture_probe(spec, cardinalities, range_max: int):
                 deficiency=spec.weight * n - result.minimum,
                 witness=result.witnesses[0],
                 total_witnesses=result.total_witnesses,
+                touches_range=result.touches_range,
             )
         )
     return rows

@@ -178,6 +178,23 @@ class TestSearch:
         assert code == 0
         assert payload(out)["results"]["caveats"]
 
+    def test_caveat_from_unlisted_witness(self, monkeypatch, capsys):
+        # 1,780 of the 68,630 witnesses end at 100, none of the 64 listed.
+        argv = ["search", "--coeffs", "2", "--n", "4", "--range", "100"]
+        caveat = [
+            "a witness touches range_max=100; the minimum is relative to "
+            "[0, range_max] and may drop for larger ranges"
+        ]
+        code, out, _ = run_cli(capsys, *argv)
+        results = payload(out)["results"]
+        assert code == 0
+        assert max(w[-1] for w in results["witnesses"]) < 100
+        assert results["caveats"] == caveat
+        monkeypatch.setattr(dilates.search, "WITNESS_CAP", 1)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert payload(out)["results"]["caveats"] == caveat
+
     def test_invalid_config(self, capsys):
         code, _, err = run_cli(
             capsys, "search", "--coeffs", "2,3", "--n", "4", "--range", "2"
@@ -221,6 +238,16 @@ class TestProbe:
         )
         assert code == 0
         assert payload(out)["results"]["caveats"] == ["witness for n=3 touches range_max=2"]
+
+    def test_caveat_from_later_witness(self, capsys):
+        # The row's first witness is {0, 1, 2}; a later one ends at 5.
+        code, out, _ = run_cli(
+            capsys, "probe", "--coeffs", "1", "--n-from", "3", "--n-to", "3", "--range", "5"
+        )
+        assert code == 0
+        results = payload(out)["results"]
+        assert results["rows"][0]["witness"] == [0, 1, 2]
+        assert results["caveats"] == ["witness for n=3 touches range_max=5"]
 
     def test_csv_matches_json(self, capsys):
         args = ["probe", "--coeffs", "2,3", "--n-from", "1", "--n-to", "4",
@@ -426,10 +453,10 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["results"]["size"] == 4
 
 
-def test_check_exit_code_contract():
+def test_check_exit_code_contract(monkeypatch, capsys):
     """Exit 1 is reserved for a checker that actually fails. The library's
-    checkers verify true statements, so the path is exercised through the
-    report-to-exit mapping used by the command."""
+    checkers verify true statements, so the command is run on a stubbed
+    check_suite that returns a failing report."""
     from dilates.bounds import BoundReport
 
     failing = BoundReport(
@@ -454,7 +481,8 @@ def test_check_exit_code_contract():
         rhs=None,
     )
     assert (na.slack, na.holds) == (None, None)
-    exit_code = 1 if any(r.verdict == "fails" for r in (holding, na, failing)) else 0
-    assert exit_code == 1
-    exit_code = 1 if any(r.verdict == "fails" for r in (holding, na)) else 0
-    assert exit_code == 0
+    argv = ["check", "--set", "0,1", "--k", "3"]
+    for reports, expected in (([holding, na, failing], 1), ([holding, na], 0)):
+        monkeypatch.setattr(dilates.cli, "check_suite", lambda a, k: reports)
+        assert run_cli(capsys, *argv)[0] == expected
+        assert run_cli(capsys, *argv, "--csv")[0] == expected

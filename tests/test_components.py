@@ -8,6 +8,7 @@ from dilates import (
     IntSet,
     InvalidComponentError,
     InvalidModulusError,
+    MergeLimitError,
     component_count,
     decompose,
     dilate,
@@ -219,9 +220,10 @@ def _reduced_span(c, a, k):
 
 
 class TestMarginalRoutes:
-    """marginal_set against the brute-force oracle on both of its routes:
-    residue-reduced bitmasks while the reduced span is at most
-    MARGINAL_BITS_PER_ELEMENT bits per element of A, the merge above."""
+    """marginal_set against the brute-force oracle on both of its routes,
+    each on the residue-reduced sets A+2Q and C+2Q: bitmasks while the
+    reduced span is at most MARGINAL_BITS_PER_ELEMENT bits per element of
+    A, the merge above."""
 
     @staticmethod
     def _merges(monkeypatch):
@@ -236,7 +238,7 @@ class TestMarginalRoutes:
     def _assert_oracle(c, a, k, merges):
         """Check marginal_set against the oracle; True on the merge route.
 
-        The merge route forms 2C+kA with one minkowski_sum and 2C+kC as
+        The merge route forms A+2Q with one minkowski_sum and C+2Q as
         the kernel's raw set, so it adds exactly one call to ``merges``.
         """
         merge_route = _reduced_span(c, a, k) > components.MARGINAL_BITS_PER_ELEMENT * len(a)
@@ -307,17 +309,51 @@ class TestMarginalRoutes:
                  "dilated value 9223372036854775808 is outside the signed 64-bit range",
                  "dilated value 9223372036854775810 is outside the signed 64-bit range"],
             ),
+            # Sparse (merge route): 3*max(a) overflows.
+            (
+                [INT64_MAX // 3 - 10**9, INT64_MAX // 3 - 5 * 10**8, INT64_MAX // 3 + 1],
+                ["dilated value 9223372036854775809 is outside the signed 64-bit range"] * 2,
+            ),
+            # Sparse: every dilate fits, 2*min(c) + 3*min(a) does not.
+            (
+                [INT64_MAX // 3 - 10**12, INT64_MAX // 3 - 10],
+                ["sumset minimum 15372281728091293010 is outside the signed 64-bit range"],
+            ),
+            # Sparse: 3*min(a) underflows.
+            (
+                [-(INT64_MAX // 3) - 1, -(INT64_MAX // 3) + 10**9, 0],
+                ["dilated value -9223372036854775809 is outside the signed 64-bit range"] * 2,
+            ),
+            # Sparse: 2*max(c) fits for one component and not for the other.
+            (
+                [INT64_MAX // 2 - 10**9, INT64_MAX // 2 + 1],
+                ["dilated value 9223372036854775808 is outside the signed 64-bit range",
+                 "dilated value 13835058052282163709 is outside the signed 64-bit range"],
+            ),
         ],
     )
     def test_int64_refusal_messages(self, elems, messages):
-        # Messages as the merge-only implementation raised them.
+        # Messages as the merge-only implementation raised them. The dense
+        # ranges take the bitmask route, the sparse lists the merge route.
         a = IntSet(elems)
         got = []
         for c in decompose(a, 3).values():
+            merge_route = _reduced_span(c, a, 3) > components.MARGINAL_BITS_PER_ELEMENT * len(a)
+            assert merge_route == (not isinstance(elems, range))
             with pytest.raises(ArithmeticRangeError) as err:
                 marginal_set(c, a, 3)
             got.append(str(err.value))
         assert got == messages
+
+    def test_merge_pair_limit_refusal(self, monkeypatch):
+        # The merge route forms |C| x |A| sums, refused above the pair limit.
+        monkeypatch.setattr(backend, "MERGE_PAIR_LIMIT", 10)
+        a = IntSet([0, 3, 6, 9, 10**7, 10**7 + 1])
+        with pytest.raises(MergeLimitError) as err:
+            marginal_set(decompose(a, 3)[0], a, 3)
+        assert str(err.value) == (
+            "merge of 4 x 6 elements would form 24 sums, above the limit of 10"
+        )
 
     def test_near_int64_sparse_set_fits(self):
         top = INT64_MAX // 5

@@ -87,6 +87,9 @@ class TestMinDilateSum:
         result = min_dilate_sum(SearchConfig(DilateSpec((2, 3)), 1, 0))
         assert result.minimum == 1
         assert [w.elements for w in result.witnesses] == [(0,)]
+        # The one witness {0} touches the range bound only when it is 0.
+        assert result.touches_range
+        assert not min_dilate_sum(SearchConfig(DilateSpec((2, 3)), 1, 4)).touches_range
 
     def test_witness_invariants(self):
         config = SearchConfig(DilateSpec((2, 3)), 4, 10)
@@ -175,6 +178,7 @@ class TestMinDilateSum:
         assert result.minimum == expected_min
         assert [w.elements for w in result.witnesses] == expected_wits[:WITNESS_CAP]
         assert result.total_witnesses == len(expected_wits)
+        assert result.touches_range == any(w[-1] == r for w in expected_wits)
 
     def test_mask_width_refused_before_any_task(self):
         spec = DilateSpec((2, -3))  # weight 5
@@ -236,6 +240,16 @@ class TestMinDilateSum:
             expected_min, len(expected_wits)
         )
         assert [w.elements for w in result.witnesses] == expected_wits[:3]
+
+    def test_range_flag_counts_unlisted_witnesses(self, monkeypatch):
+        # (2, 5) at n = 5, R = 9 has the witnesses (0,2,3,5,7) and
+        # (0,2,4,7,9); only the second, unlisted under a cap of 1, has
+        # maximum R.
+        monkeypatch.setattr(search, "WITNESS_CAP", 1)
+        result = min_dilate_sum(SearchConfig(DilateSpec((2, 5)), 5, 9))
+        assert [w.elements for w in result.witnesses] == [(0, 2, 3, 5, 7)]
+        assert result.total_witnesses == 2
+        assert result.touches_range
 
     def test_monotone_in_cardinality(self):
         minima = [
@@ -480,6 +494,7 @@ class TestConjectureProbe:
             assert (row.minimum, row.total_witnesses) == (expected_min, len(expected_wits))
             assert row.witness.elements == expected_wits[0]
             assert row.deficiency == spec.weight * row.cardinality - expected_min
+            assert row.touches_range == any(w[-1] == 10 for w in expected_wits)
 
     def test_benchmark_table_nodes_pinned(self, monkeypatch):
         # The probe table (2, 3), n = 2..8 at range 26 visits 53,714 nodes
