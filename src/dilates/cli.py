@@ -119,6 +119,11 @@ def _cmd_probe(args):
         raise ValueError("--n-from must not exceed --n-to")
     spec = _parse_coeffs(args.coeffs)
     rows = conjecture_probe(spec, range(args.n_from, args.n_to + 1), args.range)
+    caveats = [
+        f"witness for n={row.cardinality} touches range_max={args.range}"
+        for row in rows
+        if row.touches_range
+    ]
     if args.csv:
         _emit_csv(
             ("n", "minimum", "deficiency", "witness"),
@@ -132,12 +137,10 @@ def _cmd_probe(args):
                 for row in rows
             ],
         )
+        # The table stays pure CSV; its caveats go to stderr.
+        for caveat in caveats:
+            print(f"caveat: {caveat}", file=sys.stderr)
         return 0
-    caveats = [
-        f"witness for n={row.cardinality} touches range_max={args.range}"
-        for row in rows
-        if row.touches_range
-    ]
     _emit_json(
         "probe",
         {

@@ -100,6 +100,36 @@ decisions at those nodes do not change; the skipped prefixes are
 neither visited nor counted. With n <= 2 or the quotient off, nothing
 is skipped.
 
+The monotone floor. For a one-sign spec of two or more terms, let
+c_b >= c_s be the two largest coefficient magnitudes and S the sum of all
+of them; negating every coefficient negates every sum and changes no
+size, so take them positive. Let P be a prefix with maximum a and value
+s, whose loop offers children P + (x,) with x > a. For each p in P, the
+sum with x at c_b's index, p at c_s's and a at every other index is
+c_b*x + c_s*p + (S - c_b - c_s)*a: distinct for distinct p, below S*x,
+and above max S(P) = S*a exactly when c_s*p > (c_b + c_s)*a - c_b*x.
+S*x is one more sum above S*a. So P + (x,) has at least
+
+    L(x) = 1 + #{p in P : c_s*p > (c_b + c_s)*a - c_b*x}
+
+sums in (S*a, S*x], none of them in S(P), and its value is at least
+s + L(x). With lead the charge of the child's elements still to add,
+every completion of the child has value at least s + L(x) + lead, and L
+never falls as x grows. Let slack = best - s - lead, for the incumbent
+at the start of the loop. L(x) > slack holds from the first x at which
+prefix[-slack], the slack-th largest element of P, enters the count:
+x = ((c_b + c_s)*a - c_s*prefix[-slack]) // c_b + 1. The loop stops
+there (see _floor_cut): with no child when slack <= 0, and with every
+child when slack > len(P), since L(x) <= len(P) + 1. The incumbent only
+falls, so each child from the stop on has every completion strictly
+above the incumbent when it would be reached, and it would have been cut
+or rejected; none can tie the final minimum. Minima, witnesses,
+total_witnesses and touches_range do not change; the skipped children
+are neither visited nor counted as pruned. A mixed-sign spec has no
+floor: a second argument, below min S(P), would be needed for its
+negative side, and none is made, so its loops run in full. A single
+coefficient gives L(x) = 1 at every x and is left out too.
+
 Leaves are reached in lexicographic order, so the witnesses come out
 sorted. The traversal counters are measured against the running
 incumbent and the charge, so they depend on the visit order and on which
@@ -186,7 +216,9 @@ class SearchResult:
     internal nodes whose value plus the charge of the elements still to
     add exceeds the running incumbent (see the module docstring).
     Prefixes skipped by the reflection cut, whose every leaf the
-    reflection quotient drops, are neither visited nor counted as pruned.
+    reflection quotient drops, and children skipped by the monotone
+    floor of a one-sign spec, whose every completion is above the
+    incumbent, are neither visited nor counted as pruned.
     ``touches_range`` is True when some witness, listed or not, has
     maximum range_max; it is not part of the payload.
     """
@@ -275,7 +307,29 @@ def _charges(coeffs, n, exact):
     return [p + q - 2 for p, q in zip(rows[0][1:], rows[1][1:])]
 
 
-def _walk(config, seed, plan, charge):
+def _floor_terms(coeffs):
+    """(c_b, c_s), the two largest coefficient magnitudes, for a one-sign
+    spec of two or more terms; None for any other spec, which has no
+    monotone floor (see the module docstring)."""
+    if len(coeffs) < 2 or min(coeffs) < 0 < max(coeffs):
+        return None
+    c_s, c_b = sorted(abs(c) for c in coeffs)[-2:]
+    return c_b, c_s
+
+
+def _floor_cut(prefix, slack, nxts, floor):
+    """The leading run of the range ``nxts`` that the monotone floor keeps:
+    the children x with L(x) <= slack, for slack at most len(prefix) and
+    ``floor`` = (c_b, c_s) from _floor_terms (see the module docstring).
+    L(x) >= 1, so slack <= 0 keeps no child."""
+    if slack <= 0:
+        return range(0)
+    c_b, c_s = floor
+    stop = ((c_b + c_s) * prefix[-1] - c_s * prefix[-slack]) // c_b + 1
+    return range(nxts.start, stop) if stop < nxts.stop else nxts
+
+
+def _walk(config, seed, plan, charge, floor):
     n = config.cardinality
     r_max = config.range_max
     reflect = config.reflection_quotient
@@ -289,15 +343,22 @@ def _walk(config, seed, plan, charge):
     visited = 0
     pruned = 0
 
-    def expand(prefix, masks, nxts):
-        """Visit the children prefix + (x,) for x in nxts, in order."""
+    def expand(prefix, value, masks, nxts):
+        """Visit the children prefix + (x,) for x in nxts, in order; value
+        is the prefix's own."""
         nonlocal best, total, touches, visited, pruned
+        # the least growth of a child's completions
+        lead = charge[n - len(prefix) - 1]
+        if floor:
+            # The monotone floor, from the incumbent at the start of the loop;
+            # L(x) <= len(prefix) + 1, so a larger slack keeps every child.
+            slack = best - value - lead
+            if slack <= len(prefix):
+                nxts = _floor_cut(prefix, slack, nxts, floor)
         inner = len(prefix) < n - 1
         top = r_max - (n - len(prefix) - 2)
         # True when the grandchildren prefix + (x, y) are leaves.
         leaves_next = len(prefix) == n - 2
-        # the least growth of a child's completions
-        lead = charge[n - len(prefix) - 1]
         m_full = masks[full]
         for x in nxts:
             m = m_full
@@ -324,7 +385,7 @@ def _walk(config, seed, plan, charge):
                     nxt = range(x + 1 + cut, r_max + 1)
                 else:
                     nxt = range(x + 1, top + 1 - cut)
-                expand(child, child_masks, nxt)
+                expand(child, value, child_masks, nxt)
                 continue
             if value > best:
                 continue
@@ -346,7 +407,8 @@ def _walk(config, seed, plan, charge):
     root = [1 << d for d in offsets]
     # With the reflection cut, a_1 <= (R - n + 3) // 2 (see the module docstring).
     top = (r_max - n + 3) // 2 if reflect and n > 2 else r_max - n + 2
-    expand((0,), root, range(1, top + 1))
+    # The prefix (0,) has one sum.
+    expand((0,), 1, root, range(1, top + 1))
     return best, witnesses, total, touches, visited, pruned
 
 
@@ -392,8 +454,10 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
 
     The walk cuts a prefix by the charge of the elements still to add:
     inc times their number, or for a one-sign conjecture_probe row, the
-    charge built from the rows the probe has finished. The cut never
-    changes the minimum or the witness list (see the module docstring).
+    charge built from the rows the probe has finished. For a one-sign
+    spec, each loop over a prefix's children also stops at the monotone
+    floor. Neither changes the minimum or the witness list (see the
+    module docstring).
     The config was checked when it was built, so the search itself
     refuses nothing.
     """
@@ -413,7 +477,11 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
     seed = _incumbent(coeffs, n, config.range_max)
     exact = config.finished if isinstance(config, _ProbeRowConfig) else {}
     best, witnesses, total, touches, visited, pruned = _walk(
-        config, seed, _mask_plan(coeffs, config.range_max), _charges(coeffs, n, exact)
+        config,
+        seed,
+        _mask_plan(coeffs, config.range_max),
+        _charges(coeffs, n, exact),
+        _floor_terms(coeffs),
     )
     if not witnesses:
         raise RuntimeError("canonical family unexpectedly empty")

@@ -239,6 +239,16 @@ class TestProbe:
         assert code == 0
         assert payload(out)["results"]["caveats"] == ["witness for n=3 touches range_max=2"]
 
+    def test_csv_caveat_goes_to_stderr(self, capsys):
+        args = ["probe", "--coeffs", "2,3", "--n-from", "3", "--n-to", "3", "--range", "2"]
+        code, out, err = run_cli(capsys, *args, "--csv")
+        assert code == 0
+        assert out == "n,minimum,deficiency,witness\r\n3,9,6,0 1 2\r\n"
+        assert err == "caveat: witness for n=3 touches range_max=2\n"
+        # without a caveat, stderr stays empty
+        code, _, err = run_cli(capsys, *args[:-1], "12", "--csv")
+        assert (code, err) == (0, "")
+
     def test_caveat_from_later_witness(self, capsys):
         # The row's first witness is {0, 1, 2}; a later one ends at 5.
         code, out, _ = run_cli(
@@ -365,7 +375,9 @@ class TestAp:
 
 # sha256 of stdout payloads that must stay byte-identical: `check` in both
 # formats, `ap` where the paper's closed form is exact (n >= k), `sum`, and
-# `search` with and without a caveat.
+# `search` with and without a caveat. The one-sign search 2,3 n=5 R=12
+# changed once on purpose: the monotone floor lowered its nodes_visited
+# (see test_one_sign_search_payload_moves_only_nodes_visited).
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -395,7 +407,7 @@ class TestAp:
         ),
         (
             ["search", "--coeffs", "2,3", "--n", "5", "--range", "12"],
-            "2b00ce7e448f8d11f7cb22d9eb5f6f8d7c81eddfc4fa62ff856072a2d75573cb",
+            "b836df759667ac4d2f7cc6cccff51187fc72743fcc807b5e35c7302097eceb72",
         ),
         (
             ["search", "--coeffs=-3,2", "--n", "4", "--range", "10", "--no-reflect"],
@@ -411,6 +423,25 @@ def test_payload_bytes_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_one_sign_search_payload_moves_only_nodes_visited(capsys):
+    # The payload as printed before the monotone floor, which skips 78
+    # children that the walk used to visit and then reject or cut.
+    before = {
+        "command": "search",
+        "params": {"coeffs": [2, 3], "n": 5, "range": 12,
+                   "reflection_quotient": True, "threads": 1},
+        "results": {"minimum": 18, "witnesses": [[0, 1, 3, 4, 6]],
+                    "total_witnesses": 1, "nodes_visited": 338, "nodes_pruned": 33,
+                    "caveats": []},
+    }
+    code, out, _ = run_cli(capsys, "search", "--coeffs", "2,3", "--n", "5", "--range", "12")
+    assert code == 0
+    after = payload(out)
+    assert after["results"].pop("nodes_visited") == 260
+    before["results"].pop("nodes_visited")
+    assert after == before
 
 
 class TestArgparse:

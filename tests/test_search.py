@@ -1,5 +1,5 @@
 import math
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -126,13 +126,16 @@ class TestMinDilateSum:
 
     # (minimum, total_witnesses, nodes_visited, nodes_pruned), measured
     # against one running incumbent, seeded by the least two-class set,
-    # with the lookahead cut value + inc*r > incumbent, and with the
+    # with the lookahead cut value + inc*r > incumbent, with the
     # reflection cut, which neither visits nor counts a prefix whose every
-    # leaf the reflection quotient drops.
+    # leaf the reflection quotient drops, and, for one-sign specs, with
+    # the monotone floor, which neither visits nor counts the children
+    # past each loop's stop. The mixed-sign pins fail if the floor is
+    # applied to a mixed-sign spec.
     @pytest.mark.parametrize(
         "coeffs, n, r, counts",
         [
-            ((2, 3), 6, 14, (22, 1, 698, 393)),
+            ((2, 3), 6, 14, (22, 1, 576, 355)),
             ((-3, 2), 5, 12, (18, 1, 420, 0)),
             ((2, -3, 5), 5, 12, (39, 1, 152, 89)),
             ((1, 2, 4), 6, 14, (36, 1, 90, 61)),
@@ -303,6 +306,134 @@ class TestReflectionCut:
                 expected_min, expected_wits = naive_minimum(coeffs, n, r)
                 assert result.minimum == expected_min
                 assert [w.elements for w in result.witnesses] == expected_wits
+
+
+# One-sign specs of two or three terms, of either sign.
+one_sign_specs = st.tuples(
+    st.lists(st.integers(1, 6), min_size=2, max_size=3), st.booleans()
+).map(lambda t: tuple(-c for c in t[0]) if t[1] else tuple(t[0]))
+
+
+def floor_gain(prefix, x, coeffs):
+    """L(x) as defined: 1 plus the number of p in the prefix whose sum with
+    x at the largest magnitude c_b, p at the next one c_s and the prefix
+    maximum a elsewhere lies above S*a."""
+    c_s, c_b = sorted(abs(c) for c in coeffs)[-2:]
+    a = prefix[-1]
+    return 1 + sum(c_s * p > (c_b + c_s) * a - c_b * x for p in prefix)
+
+
+class TestMonotoneFloor:
+    """A one-sign child P + (x,) has at least |S(P)| + L(x) sums, L never
+    falls as x grows, and each loop stops at the first x whose floor
+    passes the incumbent, skipping only children that would be cut or
+    rejected."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        coeffs=one_sign_specs,
+        rest=st.sets(st.integers(1, 12), max_size=4),
+        gaps=st.lists(st.integers(1, 8), min_size=1, max_size=5),
+    )
+    def test_floor_bounds_each_child_and_never_falls(self, coeffs, rest, gaps):
+        prefix = (0, *sorted(rest))
+        base = len(naive_dilate_sum(prefix, coeffs))
+        xs = list(accumulate(gaps, initial=prefix[-1]))[1:]
+        gains = [floor_gain(prefix, x, coeffs) for x in xs]
+        assert gains == sorted(gains)
+        for x, gain in zip(xs, gains):
+            assert len(naive_dilate_sum((*prefix, x), coeffs)) >= base + gain
+
+    @pytest.mark.parametrize(
+        "coeffs, terms",
+        [((2, 3), (3, 2)), ((-3, -2), (3, 2)), ((5, 1, 4), (5, 4)), ((-1, -4, -5), (5, 4)),
+         ((-3, 2), None), ((2, -3, 5), None), ((5,), None), ((-5,), None)],
+    )
+    def test_floor_terms(self, coeffs, terms):
+        assert search._floor_terms(coeffs) == terms
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        coeffs=one_sign_specs,
+        rest=st.sets(st.integers(1, 12), max_size=5),
+        slack=st.integers(-2, 6),
+        offset=st.integers(0, 3),
+        width=st.integers(0, 30),
+    )
+    def test_closed_form_stop_matches_a_scan(self, coeffs, rest, slack, offset, width):
+        prefix = (0, *sorted(rest))
+        slack = min(slack, len(prefix))
+        start = prefix[-1] + 1 + offset
+        nxts = range(start, start + width)
+        stop = next((x for x in nxts if floor_gain(prefix, x, coeffs) > slack), nxts.stop)
+        kept = search._floor_cut(prefix, slack, nxts, search._floor_terms(coeffs))
+        assert list(kept) == list(range(start, stop))
+
+    # Three-term specs charge more per element, so their floor first
+    # skips a child at n = 8 or 9.
+    @pytest.mark.parametrize(
+        "coeffs, n_max, r_max",
+        [((2, 3), 6, 12), ((-2, -3), 6, 12), ((1, 3), 6, 12), ((3, 5), 6, 12),
+         ((1, 2, 4), 9, 14), ((-1, -3, -4), 9, 14)],
+    )
+    def test_skips_only_children_above_the_incumbent(self, monkeypatch, coeffs, n_max, r_max):
+        cuts = []
+        real_cut = search._floor_cut
+
+        def recorded(prefix, slack, nxts, floor):
+            cuts.append((prefix, slack, nxts, real_cut(prefix, slack, nxts, floor)))
+            return cuts[-1][-1]
+
+        monkeypatch.setattr(search, "_floor_cut", recorded)
+        spec = DilateSpec(coeffs)
+        total_skipped = 0
+        for n in range(2, n_max + 1):
+            charge = search._charges(coeffs, n, {})
+            for r in range(n - 1, r_max + 1):
+                for reflect in (True, False):
+                    config = SearchConfig(spec, n, r, reflection_quotient=reflect)
+                    cuts.clear()
+                    got = min_dilate_sum(config)
+                    skipped = [
+                        (prefix, slack, prefix + (x,))
+                        for prefix, slack, nxts, kept in cuts
+                        for x in nxts[len(kept):]
+                    ]
+                    with monkeypatch.context() as m:
+                        m.setattr(search, "_floor_terms", lambda coeffs: None)
+                        want = min_dilate_sum(config)
+                    assert (got.minimum, got.witnesses, got.total_witnesses,
+                            got.touches_range) == (want.minimum, want.witnesses,
+                                                   want.total_witnesses,
+                                                   want.touches_range), config
+                    # Without the floor, each skipped child is visited and then
+                    # cut, or rejected as a leaf, so nothing below it is visited.
+                    assert want.nodes_visited - got.nodes_visited == len(skipped)
+                    assert want.nodes_pruned - got.nodes_pruned == sum(
+                        len(child) < n for _, _, child in skipped
+                    )
+                    for prefix, slack, child in skipped:
+                        size = len(naive_dilate_sum(child, coeffs))
+                        assert size - len(naive_dilate_sum(prefix, coeffs)) > slack
+                        assert size + charge[n - len(child)] > got.minimum
+                    total_skipped += len(skipped)
+        assert total_skipped > 0
+
+    @pytest.mark.parametrize("coeffs", [(2, 3), (-1, -3), (1, 2, 4)])
+    def test_probe_rows_unchanged_without_the_floor(self, monkeypatch, coeffs):
+        rows = conjecture_probe(coeffs, range(1, 9), 18)
+        monkeypatch.setattr(search, "_floor_terms", lambda coeffs: None)
+        assert rows == conjecture_probe(coeffs, range(1, 9), 18)
+
+    @pytest.mark.parametrize(
+        "coeffs, n, r", [((2, 3), 7, 16), ((1, 3), 6, 14), ((1, 2, 4), 6, 14), ((2, 5, 7), 5, 12)]
+    )
+    def test_negated_spec_gives_identical_counters(self, coeffs, n, r):
+        negated = DilateSpec(tuple(-c for c in coeffs))
+        for reflect in (True, False):
+            assert min_dilate_sum(
+                SearchConfig(DilateSpec(coeffs), n, r, reflection_quotient=reflect)
+            ) == min_dilate_sum(SearchConfig(negated, n, r, reflection_quotient=reflect))
 
 
 def progression_fold(coeffs, n, range_max):
@@ -497,12 +628,13 @@ class TestConjectureProbe:
             assert row.touches_range == any(w[-1] == 10 for w in expected_wits)
 
     def test_benchmark_table_nodes_pinned(self, monkeypatch):
-        # The probe table (2, 3), n = 2..8 at range 26 visits 53,714 nodes
-        # with the inc*r charge alone; its finished rows cut it to 31,474.
+        # The probe table (2, 3), n = 2..8 at range 26 visits 40,266 nodes
+        # with the inc*r charge alone; its finished rows cut it to 24,244.
+        # Both counts include the monotone floor.
         alone = [
             min_dilate_sum(SearchConfig(DilateSpec((2, 3)), n, 26)) for n in range(2, 9)
         ]
-        assert sum(r.nodes_visited for r in alone) == 53_714
+        assert sum(r.nodes_visited for r in alone) == 40_266
         results = []
         real = search.min_dilate_sum
 
@@ -513,7 +645,7 @@ class TestConjectureProbe:
         monkeypatch.setattr(search, "min_dilate_sum", recorded)
         conjecture_probe((2, 3), range(2, 9), 26)
         assert [r.minimum for r in results] == [r.minimum for r in alone]
-        assert sum(r.nodes_visited for r in results) == 31_474
+        assert sum(r.nodes_visited for r in results) == 24_244
 
     @pytest.mark.parametrize(
         "k, cardinalities, range_max, slack, attaining",
