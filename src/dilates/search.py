@@ -127,7 +127,9 @@ or rejected; none can tie the final minimum. Minima, witnesses,
 total_witnesses and touches_range do not change; the skipped children
 are neither visited nor counted as pruned. A mixed-sign spec has no
 floor: a second argument, below min S(P), would be needed for its
-negative side, and none is made, so its loops run in full. A single
+negative side, and none is made, so its loops run in full. The
+one-sign count does not carry over: for (1, -2), P = (0, 4, 5, 6)
+gains 3 sums from x = 8, where L(8) = 4. A single
 coefficient gives L(x) = 1 at every x and is left out too.
 
 Leaves are reached in lexicographic order, so the witnesses come out

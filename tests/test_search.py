@@ -344,6 +344,12 @@ class TestMonotoneFloor:
         for x, gain in zip(xs, gains):
             assert len(naive_dilate_sum((*prefix, x), coeffs)) >= base + gain
 
+    def test_floor_fails_for_a_mixed_sign_spec(self):
+        # Why _floor_terms gives mixed-sign specs no floor.
+        prefix, x, coeffs = (0, 4, 5, 6), 8, (1, -2)
+        gain = len(naive_dilate_sum((*prefix, x), coeffs)) - len(naive_dilate_sum(prefix, coeffs))
+        assert (gain, floor_gain(prefix, x, coeffs)) == (3, 4)
+
     @pytest.mark.parametrize(
         "coeffs, terms",
         [((2, 3), (3, 2)), ((-3, -2), (3, 2)), ((5, 1, 4), (5, 4)), ((-1, -4, -5), (5, 4)),
