@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 
 from .backend import _fold_guard, fold_size
 from .components import (
+    _marginal_guard,
     _require_odd_prime,
     component_count,
     decompose,
@@ -205,12 +206,20 @@ def bound_marginal_total(a: IntSet, k: int) -> BoundReport:
     prime k, so for any other k the verdict is not-applicable and
     ``detail["relaxed"]`` is true.
     """
-    blocks = decompose(a, k)
-    total = sum(len(marginal_set(c, a, k)) for c in blocks.values())
-    c = len(blocks)
+    return _bound_marginal_total(a, k, {})
+
+
+# ``sizes``, an empty dict, receives |M_C| keyed by C's residue as each one
+# is summed, so check_suite can hand them to the faithful checks; if a
+# marginal set raises, it holds the residues summed before it.
+def _bound_marginal_total(a, k, sizes):
+    for r, c in decompose(a, k).items():
+        sizes[r] = len(marginal_set(c, a, k))
+    c = len(sizes)
     odd_prime = is_odd_prime(k)
     return _report(
-        "marginal_total_bound", GE, total, (c - 1) * c, {"odd_prime_k": odd_prime},
+        "marginal_total_bound", GE, sum(sizes.values()), (c - 1) * c,
+        {"odd_prime_k": odd_prime},
         detail={"component_count": c, "relaxed": not odd_prime},
     )
 
@@ -225,10 +234,24 @@ def check_faithful(a: IntSet, k: int, c_residue: int) -> BoundReport:
     as large as C, or C misses a parity class, |M_C| must cover |C| too.
 
     The component hypotheses stay False unless the first three hold, so a
-    bad k never reaches decompose. A non-integer c_residue raises
-    TypeError, and a bool counts as 0 or 1.
+    bad k never reaches decompose. Once they hold, a c_residue outside
+    [0, k) raises ValueError, since it names no class. A non-integer
+    c_residue raises TypeError, and a bool counts as 0 or 1.
     """
     c_residue = operator.index(c_residue)
+    return _check_faithful(
+        a, k, c_residue,
+        lambda: decompose(a, k),
+        lambda block: component_count(block, k * k),
+        lambda block: len(marginal_set(block, a, k)),
+    )
+
+
+# _check_faithful takes ``blocks``, a zero-argument callable giving
+# decompose(a, k), called once the gates hold; ``square_classes(block)``,
+# the component's class count modulo k**2; and ``marginal_size(block)``,
+# its |M_C|. check_suite passes the ones it has already computed.
+def _check_faithful(a, k, c_residue, blocks, square_classes, marginal_size):
     gates = {
         "odd_prime_k": is_odd_prime(k),
         "zero_in_set": 0 in a,
@@ -241,21 +264,22 @@ def check_faithful(a: IntSet, k: int, c_residue: int) -> BoundReport:
         "other_component_exists": False,
     }
     if all(gates.values()):
-        blocks = decompose(a, k)
+        if not 0 <= c_residue < k:
+            raise ValueError(f"residue must be in [0, {k}), got {c_residue}")
+        blocks = blocks()
         block = blocks.get(c_residue)
         others = [b for r, b in blocks.items() if r != c_residue]
         if block is not None:
             hypotheses.update(
                 component_exists=True,
-                component_not_semi_full=component_count(block, k * k) < k,
+                component_not_semi_full=square_classes(block) < k,
                 other_component_exists=bool(others),
             )
     if not all(hypotheses.values()):
         return _report("faithful_component", GE, None, None, hypotheses,
                        detail={"residue": c_residue})
 
-    marginal = marginal_set(block, a, k)
-    lhs = len(marginal)
+    lhs = marginal_size(block)
     rhs = max(len(b) for b in others)
     cond_size = any(len(b) >= len(block) for b in others)
     cond_parity = component_count(block, 2) < 2
@@ -390,6 +414,19 @@ def check_suite(a: IntSet, k: int):
     passes the fold's int64 envelope check itself (its envelope exceeds
     A's when A has negative elements); when the fold on A raised, it folds
     the canonical set, whose smaller envelope may fit.
+
+    Each component's marginal set is built once, too. The marginal-total
+    checker runs on A and records |M_C| per residue of A; the faithful
+    checks run on the canonical set, canon = (A - min A)/g with g the gap
+    gcd, and share canon's decomposition. The same map sends 2C+kA and
+    2C+kC bijectively onto their canonical images, so |M_C| is the same on
+    both sides, and when k does not divide g it sends the classes of A mod
+    k onto those of canon: canon's class r is A's class (min A + g*r) mod
+    k. A faithful check first runs marginal_set's range checks on canon's
+    component, so an error record is the one it always was, and then
+    reuses A's size of that class. When k divides g (A lies in one class)
+    or the marginal-total checker raised before reaching that class, it
+    builds the marginal set on canon.
     """
     _require_odd_prime(k)
     canon = canonicalize(a)
@@ -424,7 +461,9 @@ def check_suite(a: IntSet, k: int):
     run(("basic_bound",), lambda: (_bound_basic(a, a, 2, k, size),))
     run(("four_bound",), lambda: (_bound_four(a, 2, k, size),))
     run(("full_semifull_bound",), lambda: (_bound_full_semifull(a, k, size),))
-    run(("marginal_total_bound",), lambda: (bound_marginal_total(a, k),))
+    marginal_sizes = {}
+    run(("marginal_total_bound",),
+        lambda: (_bound_marginal_total(a, k, marginal_sizes),))
     run(("main_small_bound",), lambda: (_bound_main_small(a, k, size),))
 
     def canon_size():
@@ -436,12 +475,24 @@ def check_suite(a: IntSet, k: int):
     run(("main_large_strict", "main_large_bound"),
         lambda: noted(*_bound_main_large(canon, k, canon_size)))
 
+    gap = a.span // canon.span if canon.span else 0
+
+    def canon_marginal_size(block):
+        _marginal_guard(block, canon, k)
+        if gap % k:
+            size = marginal_sizes.get((a.min + gap * (block.min % k)) % k)
+            if size is not None:
+                return size
+        return len(marginal_set(block, canon, k))
+
     blocks = decompose(canon, k)
     for residue, block in blocks.items():
-        if len(blocks) < 2 or component_count(block, k * k) >= k:
+        classes = component_count(block, k * k)
+        if len(blocks) < 2 or classes >= k:
             continue
         run(("faithful_component",),
-            lambda r=residue: noted(check_faithful(canon, k, r)),
+            lambda r=residue, n=classes: noted(_check_faithful(
+                canon, k, r, lambda: blocks, lambda _: n, canon_marginal_size)),
             residue=residue, canonicalized=normalized)
 
     reports.sort(key=lambda r: (r.statement_id, r.detail.get("residue", -1)))

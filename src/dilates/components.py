@@ -106,6 +106,18 @@ def _checked_component(c: IntSet, a: IntSet, k: int):
         )
 
 
+def _marginal_guard(c: IntSet, a: IntSet, k: int):
+    """The range checks of 2*c + k*a: its dilated extremes, then its
+    extreme sums. Every element of 2*c + k*a and of marginal_set's reduced
+    sets lies within them."""
+    check_int64(2 * c.min, "dilated value")
+    check_int64(2 * c.max, "dilated value")
+    check_int64(k * a.min, "dilated value")
+    check_int64(k * a.max, "dilated value")
+    check_int64(2 * c.min + k * a.min, "sumset minimum")
+    check_int64(2 * c.max + k * a.max, "sumset maximum")
+
+
 # The bitset route of marginal_set runs while its reduced span stays within
 # this many bits per element of A (16 machine words); sparser inputs merge.
 MARGINAL_BITS_PER_ELEMENT = 16 * 64
@@ -122,13 +134,13 @@ def marginal_set(c: IntSet, a: IntSet, k: int):
     Every element of ``c`` is m + k*q with m = min C, so
     2*c + k*x = 2m + k*(2q + x): 2C+kA = 2m + k*(A+2Q) and
     2C+kC = 2m + k*(C+2Q), with Q = (C - m)/k. The range checks of 2C+kA
-    (its dilated extremes, then its extreme sums) run once; every reduced
-    sum and its image lie within them. Both routes then take the marginal
-    set as the image of the difference of the reduced sets, whose span
-    2*max Q + span(A) is about k times smaller than that of 2C+kA. While
-    that span is at most MARGINAL_BITS_PER_ELEMENT bits per element of
-    ``a``, both are folded as bitmasks, aligned at min A, and the marginal
-    set is ``big & ~small``, read out without a Python loop over the bits.
+    (``_marginal_guard``) run once; every reduced sum and its image lie
+    within them. Both routes then take the marginal set as the image of
+    the difference of the reduced sets, whose span 2*max Q + span(A) is
+    about k times smaller than that of 2C+kA. While that span is at most
+    MARGINAL_BITS_PER_ELEMENT bits per element of ``a``, both are folded
+    as bitmasks, aligned at min A, and the marginal set is
+    ``big & ~small``, read out without a Python loop over the bits.
     Otherwise A+2Q is merged pairwise and filtered against C+2Q. A bitmask
     costs |C| shifts of the whole reduced span whatever |A| is, so on
     sparse sets (uniform sets of a few hundred elements over spans of
@@ -142,12 +154,7 @@ def marginal_set(c: IntSet, a: IntSet, k: int):
     mask(A) and mask(C) from binary digits.
     """
     _checked_component(c, a, k)
-    check_int64(2 * c.min, "dilated value")
-    check_int64(2 * c.max, "dilated value")
-    check_int64(k * a.min, "dilated value")
-    check_int64(k * a.max, "dilated value")
-    check_int64(2 * c.min + k * a.min, "sumset minimum")
-    check_int64(2 * c.max + k * a.max, "sumset maximum")
+    _marginal_guard(c, a, k)
     base = 2 * c.min
     q = IntSet._wrap(tuple((x - c.min) // k for x in c.elements))
     if 2 * q.max + a.span > MARGINAL_BITS_PER_ELEMENT * len(a):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dilates.bounds
 from dilates import (
@@ -14,8 +16,10 @@ from dilates import (
     bound_main_large,
     bound_main_small,
     bound_marginal_total,
+    canonicalize,
     check_faithful,
     check_suite,
+    decompose,
 )
 
 from bruteforce import naive_canonical_family, naive_dilate_sum, naive_fold
@@ -181,9 +185,19 @@ class TestFaithful:
         assert not rep.hypotheses["component_not_semi_full"]
 
     def test_missing_component(self):
-        rep = check_faithful(IntSet([0, 1, 2]), 3, 7)
+        rep = check_faithful(IntSet([0, 1, 3]), 3, 2)
         assert rep.verdict == "not-applicable"
         assert not rep.hypotheses["component_exists"]
+
+    def test_out_of_range_residue_refused(self):
+        # 4 and -2 are both 1 mod 3, whose component {1, 4, 10} exists.
+        for residue in (4, -2, 3):
+            with pytest.raises(ValueError, match=r"residue must be in \[0, 3\)"):
+                check_faithful(IntSet([0, 1, 3, 4, 9, 10]), 3, residue)
+        # A failed gate is reported before the residue is read.
+        rep = check_faithful(IntSet([0, 2, 4]), 3, 7)
+        assert rep.verdict == "not-applicable"
+        assert rep.detail == {"residue": 7}
 
     def test_float_k_not_applicable(self):
         # 7.5 is not an odd prime, so the gate fails before decompose
@@ -206,7 +220,7 @@ class TestFaithful:
         "elems, k, residue, hypotheses",
         [
             ([0, 2, 4], 3, 0, (True, True, False, False, False, False)),
-            ([0, 1, 2], 3, 7, (True, True, True, False, False, False)),
+            ([0, 1, 3], 3, 2, (True, True, True, False, False, False)),
             ([0, 1, 3, 6], 3, 0, (True, True, True, True, False, True)),
         ],
     )
@@ -398,6 +412,54 @@ class TestCheckSuite:
         )
         check_suite(IntSet(elems), 5)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "elems, k, shared",
+        [
+            ([0, 1, 3, 4, 9], 5, True),
+            ([10, 16, 22, 25], 5, True),
+            ([-7, -2, 4, 5, 6, 11], 3, True),
+            # g = 5 = k: A lies in one class, canon in four.
+            ([0, 5, 15, 20, 45], 5, False),
+        ],
+    )
+    def test_builds_marginal_sets_once(self, monkeypatch, elems, k, shared):
+        calls = []
+        real = dilates.bounds.marginal_set
+        monkeypatch.setattr(
+            dilates.bounds, "marginal_set",
+            lambda c, a, k: calls.append(c) or real(c, a, k),
+        )
+        a = IntSet(elems)
+        reports = check_suite(a, k)
+        faithful = [r for r in reports if r.statement_id == "faithful_component"]
+        assert faithful
+        assert len(calls) == len(decompose(a, k)) + (0 if shared else len(faithful))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(0, 30), min_size=1, max_size=9),
+        st.integers(-60, 60),
+        st.sampled_from((1, 2, "k", "2k")),
+        st.sampled_from((3, 5, 7)),
+    )
+    def test_shared_marginal_sizes_match_public_checkers(self, base, shift, scale, k):
+        g = {"k": k, "2k": 2 * k}.get(scale, scale)
+        a = IntSet([shift + g * x for x in base])
+        canon = canonicalize(a)
+        note = {"canonicalized": canon != a}
+        expected = [bound_marginal_total(a, k).to_record()]
+        for r in range(k):
+            rep = check_faithful(canon, k, r)
+            if rep.hypotheses_met:
+                expected.append({**rep.to_record(),
+                                 "detail": {**rep.detail, **note}})
+        got = [
+            r.to_record() for r in check_suite(a, k)
+            if r.statement_id in ("marginal_total_bound", "faithful_component")
+        ]
+        key = lambda rec: (rec["statement_id"], rec["detail"].get("residue", -1))
+        assert got == sorted(expected, key=key)
 
     # Records as the suite gave them when every checker folded on its own:
     # (statement_id, verdict, lhs, rhs, error).
