@@ -247,11 +247,11 @@ def check_faithful(a: IntSet, k: int, c_residue: int) -> BoundReport:
     )
 
 
-# _check_faithful takes ``blocks``, a zero-argument callable giving
+# _check_faithful takes ``decomposition``, a zero-argument callable giving
 # decompose(a, k), called once the gates hold; ``square_classes(block)``,
 # the component's class count modulo k**2; and ``marginal_size(block)``,
 # its |M_C|. check_suite passes the ones it has already computed.
-def _check_faithful(a, k, c_residue, blocks, square_classes, marginal_size):
+def _check_faithful(a, k, c_residue, decomposition, square_classes, marginal_size):
     gates = {
         "odd_prime_k": is_odd_prime(k),
         "zero_in_set": 0 in a,
@@ -266,7 +266,7 @@ def _check_faithful(a, k, c_residue, blocks, square_classes, marginal_size):
     if all(gates.values()):
         if not 0 <= c_residue < k:
             raise ValueError(f"residue must be in [0, {k}), got {c_residue}")
-        blocks = blocks()
+        blocks = decomposition()
         block = blocks.get(c_residue)
         others = [b for r, b in blocks.items() if r != c_residue]
         if block is not None:

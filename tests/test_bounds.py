@@ -428,7 +428,7 @@ class TestCheckSuite:
         real = dilates.bounds.marginal_set
         monkeypatch.setattr(
             dilates.bounds, "marginal_set",
-            lambda c, a, k: calls.append(c) or real(c, a, k),
+            lambda c, target, m: calls.append(c) or real(c, target, m),
         )
         a = IntSet(elems)
         reports = check_suite(a, k)
