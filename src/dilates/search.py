@@ -162,6 +162,7 @@ starts never needs a check of its own.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from bisect import bisect_left
@@ -248,27 +249,18 @@ def _reflection_kept(elems):
 
 
 def _mask_plan(coeffs, range_max):
-    """Offsets and recurrence terms for the per-subset masks.
+    """(C_T, D_T) for every subset T of coefficient indices, at index t.
 
-    Subsets of coefficient indices are bitmasks t, and shift_T(x) is
-    C_T*x + D_T, where C_T is the sum of c_i over T and D_T is R times the
-    sum of |c_i| over the negative c_i in T. ``offsets[t]`` is D_T;
-    ``terms[u]`` lists (u without t, C_T, D_T) for every nonempty t
-    inside u, the terms of the recurrence besides M_U itself. Shifts are
-    computed per node rather than tabulated per x, so memory does not grow
-    with R.
+    Subsets are bitmasks t, and shift_T(x) is C_T*x + D_T, where C_T is
+    the sum of c_i over T and D_T is R times the sum of |c_i| over the
+    negative c_i in T; the empty subset gives (0, 0). Shifts are computed
+    per node rather than tabulated per x, so memory does not grow with R.
     """
-    size = 1 << len(coeffs)
-    lines = []
-    for t in range(size):
+    plan = []
+    for t in range(1 << len(coeffs)):
         members = [c for i, c in enumerate(coeffs) if t >> i & 1]
-        lines.append((sum(members), range_max * sum(-c for c in members if c < 0)))
-    offsets = [d for _, d in lines]
-    terms = [
-        tuple((u & ~t, *lines[t]) for t in range(1, size) if u & t == t)
-        for u in range(size)
-    ]
-    return offsets, terms
+        plan.append((sum(members), range_max * sum(-c for c in members if c < 0)))
+    return plan
 
 
 def _lower_row(magnitudes, size, exact):
@@ -331,13 +323,17 @@ def _floor_cut(prefix, slack, nxts, floor):
     return range(nxts.start, stop) if stop < nxts.stop else nxts
 
 
-def _walk(config, seed, plan, charge, floor):
+# The walk for specs of j coefficients, less the mask recurrence that
+# _walker writes out for that j: {plan} names the shift constants C<t>,
+# D<t> of each nonempty subset t, {masks} a prefix's masks M0 .. M<full>
+# (M0 is always 1), {full} is a child's full mask and {children} the
+# list of all of its masks.
+_WALK_TEMPLATE = '''
+def walk(config, seed, plan, charge, floor):
     n = config.cardinality
     r_max = config.range_max
     reflect = config.reflection_quotient
-    offsets, terms = plan
-    full = len(terms) - 1
-    full_terms = terms[full]
+    {plan} = plan[1:]
     best = seed
     witnesses = []
     total = 0
@@ -361,11 +357,9 @@ def _walk(config, seed, plan, charge, floor):
         top = r_max - (n - len(prefix) - 2)
         # True when the grandchildren prefix + (x, y) are leaves.
         leaves_next = len(prefix) == n - 2
-        m_full = masks[full]
+        {masks} = masks
         for x in nxts:
-            m = m_full
-            for v, c, d in full_terms:
-                m |= masks[v] << (c * x + d)
+            m = {full}
             visited += 1
             value = m.bit_count()
             if inner:
@@ -373,15 +367,9 @@ def _walk(config, seed, plan, charge, floor):
                     pruned += 1
                     continue
                 # The child survived, so it needs the masks of every subset.
-                child_masks = [1]
-                for u in range(1, full):
-                    mu = masks[u]
-                    for v, c, d in terms[u]:
-                        mu |= masks[v] << (c * x + d)
-                    child_masks.append(mu)
-                child_masks.append(m)
+                child_masks = [{children}]
                 child = prefix + (x,)
-                # The reflection cut: a leaf is dropped unless M >= a_{n-2} + a_1.
+                # The reflection cut: a leaf is dropped unless M >= a_{{n-2}} + a_1.
                 cut = child[1] - 1 if reflect else 0
                 if leaves_next:
                     nxt = range(x + 1 + cut, r_max + 1)
@@ -406,12 +394,49 @@ def _walk(config, seed, plan, charge, floor):
                 witnesses.append(leaf)
 
     # The masks of the prefix (0,): its one sum over U sits at D_U.
-    root = [1 << d for d in offsets]
+    root = [1 << d for _, d in plan]
     # With the reflection cut, a_1 <= (R - n + 3) // 2 (see the module docstring).
     top = (r_max - n + 3) // 2 if reflect and n > 2 else r_max - n + 2
     # The prefix (0,) has one sum.
     expand((0,), 1, root, range(1, top + 1))
     return best, witnesses, total, touches, visited, pruned
+'''
+
+
+@functools.cache
+def _walker(j):
+    """The walk for specs of j coefficients, compiled on first use.
+
+    The recurrence of the module docstring is written out as straight-line
+    code, one OR of shifted masks per subset u: M_U(P + x) is
+    M<u> | M<u-t> << (C<t> * x + D<t>) | ... over the nonempty t inside u.
+    The source is a function of j alone, and every value of a search, the
+    plan's C_T and D_T included, reaches the walk as an argument, so no
+    input is ever compiled and the cache holds at most one walk per j.
+    """
+    full = (1 << j) - 1
+
+    def mask(u):
+        return " | ".join(
+            [f"M{u}"] + [f"M{u & ~t} << (C{t} * x + D{t})" for t in range(1, u + 1) if u & t == t]
+        )
+
+    source = _WALK_TEMPLATE.format(
+        plan=", ".join(f"(C{t}, D{t})" for t in range(1, full + 1)) + ",",
+        masks=", ".join(f"M{u}" for u in range(full + 1)),
+        full=mask(full),
+        children=", ".join(["M0"] + [mask(u) for u in range(1, full)] + ["m"]),
+    )
+    namespace = {}
+    exec(compile(source, f"<dilates walk, {j} terms>", "exec"), globals(), namespace)
+    return namespace["walk"]
+
+
+def _walk(config, seed, plan, charge, floor):
+    """Minimum, witnesses, total_witnesses, touches_range and both counters
+    of the canonical family, by the walk compiled for the spec's term
+    count (see _walker)."""
+    return _walker(len(config.spec.coefficients))(config, seed, plan, charge, floor)
 
 
 def _incumbent(coeffs, n, range_max):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import accumulate, combinations
 
 import pytest
@@ -18,6 +21,8 @@ from dilates import backend, search
 from dilates.search import WITNESS_CAP
 
 from bruteforce import naive_canonical_family, naive_dilate_sum, naive_minimum
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 class TestNaiveCanonicalFamily:
@@ -139,6 +144,8 @@ class TestMinDilateSum:
             ((-3, 2), 5, 12, (18, 1, 420, 0)),
             ((2, -3, 5), 5, 12, (39, 1, 152, 89)),
             ((1, 2, 4), 6, 14, (36, 1, 90, 61)),
+            ((3,), 5, 10, (5, 107, 200, 0)),
+            ((1, -2, 3, 5), 5, 10, (45, 1, 42, 23)),
         ],
     )
     def test_pinned_counters(self, coeffs, n, r, counts):
@@ -159,8 +166,13 @@ class TestMinDilateSum:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        coeffs=st.lists(
-            st.integers(-6, 6).filter(bool), min_size=2, max_size=3, unique=True
+        coeffs=st.tuples(
+            st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=4, unique=True),
+            st.sampled_from((None, 1, -1)),
+        ).map(
+            # None keeps the drawn signs; 1 or -1 gives every distinct
+            # magnitude that sign, so one-sign specs of every length are common.
+            lambda t: t[0] if t[1] is None else sorted({t[1] * abs(c) for c in t[0]})
         ),
         n=st.integers(1, 5),
         extra=st.integers(0, 9),
@@ -276,6 +288,28 @@ class TestMinDilateSum:
             SearchConfig(DilateSpec((2, 3)), 3.0, 12)
         with pytest.raises(TypeError):
             SearchConfig(DilateSpec((2, 3)), 3, 12.0)
+
+
+class TestCompiledWalk:
+    """The walk is compiled on first use, once per term count."""
+
+    def test_import_compiles_no_walk_and_one_walk_per_term_count(self):
+        script = (
+            "import dilates\n"
+            "from dilates import DilateSpec, SearchConfig, min_dilate_sum, search\n"
+            "print(search._walker.cache_info().currsize)\n"
+            "for coeffs, r in [((2, 3), 10), ((2, 3), 14), ((-3, 2), 12), ((2, -3, 5), 12)]:\n"
+            "    min_dilate_sum(SearchConfig(DilateSpec(coeffs), 5, r))\n"
+            "print(search._walker.cache_info().currsize)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "2"]
 
 
 class TestReflectionCut:
