@@ -153,6 +153,19 @@ exceeds weight*R, where weight is the sum of |c_i|. A node's value is
 the popcount of the full mask. A leaf needs only its full mask, and an
 internal node needs the other masks only when it survives its prune test.
 
+The recurrence is not interpreted from a table of terms. For each term
+count j, _walk writes it out as straight-line code, one OR of shifted
+masks per subset, and compiles the walk once, on its first use in the
+process. For two terms the child's full mask is
+
+    M3 | M2 << (C1*x + D1) | M1 << (C2*x + D2) | M0 << (C3*x + D3),
+
+where Mu is M_U(P) for the subset U with bitmask u (M0 = M_empty = 1)
+and C_T*x + D_T = shift_T(x). Running that code is safe: its text is a
+function of j alone, so no value of a search is ever compiled, and the
+constants C_T, D_T arrive as arguments. This takes about a fifth off
+the CPU time of two- and three-term searches.
+
 Because every mask is bounded by weight*R bits whatever the prefix, one
 check per configuration replaces a range guard at every node: a
 SearchConfig with weight*R above backend.BITSET_SPAN_LIMIT, far below the
@@ -324,7 +337,7 @@ def _floor_cut(prefix, slack, nxts, floor):
 
 
 # The walk for specs of j coefficients, less the mask recurrence that
-# _walker writes out for that j: {plan} names the shift constants C<t>,
+# _walk writes out for that j: {plan} names the shift constants C<t>,
 # D<t> of each nonempty subset t, {masks} a prefix's masks M0 .. M<full>
 # (M0 is always 1), {full} is a child's full mask and {children} the
 # list of all of its masks.
@@ -404,10 +417,13 @@ def walk(config, seed, plan, charge, floor):
 
 
 @functools.cache
-def _walker(j):
+def _walk(j):
     """The walk for specs of j coefficients, compiled on first use.
 
-    The recurrence of the module docstring is written out as straight-line
+    The walk, called as walk(config, seed, plan, charge, floor) with
+    ``plan`` from _mask_plan, returns the minimum, the witnesses,
+    total_witnesses, touches_range and both counters of the canonical
+    family. Its mask recurrence (see the module docstring) is straight-line
     code, one OR of shifted masks per subset u: M_U(P + x) is
     M<u> | M<u-t> << (C<t> * x + D<t>) | ... over the nonempty t inside u.
     The source is a function of j alone, and every value of a search, the
@@ -417,9 +433,9 @@ def _walker(j):
     full = (1 << j) - 1
 
     def mask(u):
-        return " | ".join(
-            [f"M{u}"] + [f"M{u & ~t} << (C{t} * x + D{t})" for t in range(1, u + 1) if u & t == t]
-        )
+        # M_U(P + x): M_U(P), then M_{U-T}(P) << shift_T(x) for each nonempty T in U.
+        shifted = (f"M{u & ~t} << (C{t} * x + D{t})" for t in range(1, u + 1) if u & t == t)
+        return " | ".join([f"M{u}", *shifted])
 
     source = _WALK_TEMPLATE.format(
         plan=", ".join(f"(C{t}, D{t})" for t in range(1, full + 1)) + ",",
@@ -430,13 +446,6 @@ def _walker(j):
     namespace = {}
     exec(compile(source, f"<dilates walk, {j} terms>", "exec"), globals(), namespace)
     return namespace["walk"]
-
-
-def _walk(config, seed, plan, charge, floor):
-    """Minimum, witnesses, total_witnesses, touches_range and both counters
-    of the canonical family, by the walk compiled for the spec's term
-    count (see _walker)."""
-    return _walker(len(config.spec.coefficients))(config, seed, plan, charge, floor)
 
 
 def _incumbent(coeffs, n, range_max):
@@ -503,7 +512,7 @@ def min_dilate_sum(config: SearchConfig) -> SearchResult:
     coeffs = config.spec.coefficients
     seed = _incumbent(coeffs, n, config.range_max)
     exact = config.finished if isinstance(config, _ProbeRowConfig) else {}
-    best, witnesses, total, touches, visited, pruned = _walk(
+    best, witnesses, total, touches, visited, pruned = _walk(len(coeffs))(
         config,
         seed,
         _mask_plan(coeffs, config.range_max),

@@ -297,10 +297,10 @@ class TestCompiledWalk:
         script = (
             "import dilates\n"
             "from dilates import DilateSpec, SearchConfig, min_dilate_sum, search\n"
-            "print(search._walker.cache_info().currsize)\n"
+            "print(search._walk.cache_info().currsize)\n"
             "for coeffs, r in [((2, 3), 10), ((2, 3), 14), ((-3, 2), 12), ((2, -3, 5), 12)]:\n"
             "    min_dilate_sum(SearchConfig(DilateSpec(coeffs), 5, r))\n"
-            "print(search._walker.cache_info().currsize)\n"
+            "print(search._walk.cache_info().currsize)\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script],
