@@ -152,19 +152,25 @@ of non-negative terms: mixed signs need no re-basing, and no position
 exceeds weight*R, where weight is the sum of |c_i|. A node's value is
 the popcount of the full mask. A leaf needs only its full mask, and an
 internal node needs the other masks only when it survives its prune test.
+The full mask is the OR above, 2^j terms. Because shift_T is the sum of
+the shift_{i} over i in T, the other masks can be built one index at a
+time instead: start from N_U = M_U(P) and, for each index i in turn, set
+N_U = N_U | N_{U-i} << shift_{i}(x) for every U that holds i; then
+N_U = M_U(P + x). That takes j*2^(j-1) shifts where the OR over T takes
+3^j - 2^j, and keeps the walk's code small for many terms.
 
-The recurrence is not interpreted from a table of terms. For each term
-count j, _walk writes it out as straight-line code, one OR of shifted
-masks per subset, and compiles the walk once, on its first use in the
-process. For two terms the child's full mask is
+For each term count j, _walk writes this recurrence out as straight-line
+code (see _recurrence) and compiles the walk once, on its first use in
+the process. For two terms a child's masks are
 
-    M3 | M2 << (C1*x + D1) | M1 << (C2*x + D2) | M0 << (C3*x + D3),
+    m = ((M3 | M2 << (C1 * x + D1)) | (M1 << (C2 * x + D2) | M0 << (C3 * x + D3)))
+    N1 = M1 | M0 << (C1 * x + D1)
+    N2 = M2 | M0 << (C2 * x + D2)
 
 where Mu is M_U(P) for the subset U with bitmask u (M0 = M_empty = 1)
 and C_T*x + D_T = shift_T(x). Running that code is safe: its text is a
 function of j alone, so no value of a search is ever compiled, and the
-constants C_T, D_T arrive as arguments. This takes about a fifth off
-the CPU time of two- and three-term searches.
+constants C_T, D_T arrive as arguments.
 
 Because every mask is bounded by weight*R bits whatever the prefix, one
 check per configuration replaces a range guard at every node: a
@@ -339,8 +345,9 @@ def _floor_cut(prefix, slack, nxts, floor):
 # The walk for specs of j coefficients, less the mask recurrence that
 # _walk writes out for that j: {plan} names the shift constants C<t>,
 # D<t> of each nonempty subset t, {masks} a prefix's masks M0 .. M<full>
-# (M0 is always 1), {full} is a child's full mask and {children} the
-# list of all of its masks.
+# (M0 is always 1), {full} is a child's full mask, {others} the
+# statements that build its other masks and {children} the list of all
+# of its masks.
 _WALK_TEMPLATE = '''
 def walk(config, seed, plan, charge, floor):
     n = config.cardinality
@@ -380,6 +387,7 @@ def walk(config, seed, plan, charge, floor):
                     pruned += 1
                     continue
                 # The child survived, so it needs the masks of every subset.
+                {others}
                 child_masks = [{children}]
                 child = prefix + (x,)
                 # The reflection cut: a leaf is dropped unless M >= a_{{n-2}} + a_1.
@@ -416,6 +424,43 @@ def walk(config, seed, plan, charge, floor):
 '''
 
 
+def _recurrence(j):
+    """The mask recurrence for j coefficients as Python source.
+
+    Returns (full, others, children) in the names of the walk, where M<u>
+    is a prefix's mask of the subset with bitmask u, C<t> and D<t> are
+    the plan's shift constants and x is the appended element (see the
+    module docstring). ``full`` is the expression of the child's full
+    mask, the OR of its 2^j terms as a balanced tree: CPython refuses to
+    compile an expression nested a few thousand deep, which a left-nested
+    chain reaches at j = 12. ``others`` are the statements that then set
+    N<u> to each of the child's other nonempty masks, one index at a
+    time, and ``children`` names all of its masks in subset order, m for
+    the full one.
+    """
+    full = (1 << j) - 1
+
+    def either(terms):
+        if len(terms) == 1:
+            return terms[0]
+        half = len(terms) // 2
+        return f"({either(terms[:half])} | {either(terms[half:])})"
+
+    # M_U(P + x) for U = full: M_U(P), then M_{U-T}(P) << shift_T(x) for each nonempty T.
+    terms = [f"M{full & ~t} << (C{t} * x + D{t})" for t in range(1, full + 1)]
+    names = {u: f"M{u}" for u in range(full)}
+    others = []
+    for i in range(j):
+        bit = 1 << i
+        for u in range(bit, full):
+            if u & bit:
+                step = f"N{u} = {names[u]} | {names[u ^ bit]} << (C{bit} * x + D{bit})"
+                others.append(step)
+                names[u] = f"N{u}"
+    children = ["M0", *(names[u] for u in range(1, full)), "m"]
+    return either([f"M{full}", *terms]), others, children
+
+
 @functools.cache
 def _walk(j):
     """The walk for specs of j coefficients, compiled on first use.
@@ -423,25 +468,18 @@ def _walk(j):
     The walk, called as walk(config, seed, plan, charge, floor) with
     ``plan`` from _mask_plan, returns the minimum, the witnesses,
     total_witnesses, touches_range and both counters of the canonical
-    family. Its mask recurrence (see the module docstring) is straight-line
-    code, one OR of shifted masks per subset u: M_U(P + x) is
-    M<u> | M<u-t> << (C<t> * x + D<t>) | ... over the nonempty t inside u.
+    family. Its mask recurrence is the straight-line code of _recurrence.
     The source is a function of j alone, and every value of a search, the
     plan's C_T and D_T included, reaches the walk as an argument, so no
     input is ever compiled and the cache holds at most one walk per j.
     """
-    full = (1 << j) - 1
-
-    def mask(u):
-        # M_U(P + x): M_U(P), then M_{U-T}(P) << shift_T(x) for each nonempty T in U.
-        shifted = (f"M{u & ~t} << (C{t} * x + D{t})" for t in range(1, u + 1) if u & t == t)
-        return " | ".join([f"M{u}", *shifted])
-
+    full, others, children = _recurrence(j)
     source = _WALK_TEMPLATE.format(
-        plan=", ".join(f"(C{t}, D{t})" for t in range(1, full + 1)) + ",",
-        masks=", ".join(f"M{u}" for u in range(full + 1)),
-        full=mask(full),
-        children=", ".join(["M0"] + [mask(u) for u in range(1, full)] + ["m"]),
+        plan=", ".join(f"(C{t}, D{t})" for t in range(1, 1 << j)) + ",",
+        masks=", ".join(f"M{u}" for u in range(1 << j)),
+        full=full,
+        others="\n                ".join(others),
+        children=", ".join(children),
     )
     namespace = {}
     exec(compile(source, f"<dilates walk, {j} terms>", "exec"), globals(), namespace)
