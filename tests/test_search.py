@@ -146,6 +146,8 @@ class TestMinDilateSum:
             ((1, 2, 4), 6, 14, (36, 1, 90, 61)),
             ((3,), 5, 10, (5, 107, 200, 0)),
             ((1, -2, 3, 5), 5, 10, (45, 1, 42, 23)),
+            # A left-nested OR of the full mask's 4096 terms is too deep to compile.
+            (tuple(c if c % 2 else -c for c in range(1, 13)), 3, 4, (157, 1, 6, 0)),
         ],
     )
     def test_pinned_counters(self, coeffs, n, r, counts):
@@ -164,7 +166,9 @@ class TestMinDilateSum:
         assert [w.elements for w in result.witnesses] == witnesses
         assert result.total_witnesses == len(witnesses)
 
-    @settings(max_examples=150, deadline=None)
+    # About a fifth of the draws keep their signs and have 2 or 3 terms,
+    # so 700 draws give that mixed-sign domain about 150 of them.
+    @settings(max_examples=700, deadline=None)
     @given(
         coeffs=st.tuples(
             st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=4, unique=True),
@@ -291,7 +295,8 @@ class TestMinDilateSum:
 
 
 class TestCompiledWalk:
-    """The walk is compiled on first use, once per term count."""
+    """The walk is compiled on first use, once per term count, and its
+    recurrence gives each subset's sums."""
 
     def test_import_compiles_no_walk_and_one_walk_per_term_count(self):
         script = (
@@ -310,6 +315,34 @@ class TestCompiledWalk:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "2"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        coeffs=st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=4, unique=True),
+        points=st.lists(st.integers(1, 12), min_size=1, max_size=5, unique=True),
+        extra=st.integers(0, 3),
+    )
+    def test_recurrence_gives_the_sums_of_every_subset(self, coeffs, points, extra):
+        *rest, x = sorted(points)
+        prefix = (0, *rest)
+        r = x + extra
+
+        def subset_masks(elems):
+            # Bit s + offset for each sum s over the subset's coefficients.
+            masks = []
+            for u in range(1 << len(coeffs)):
+                members = [c for i, c in enumerate(coeffs) if u >> i & 1]
+                offset = r * sum(-c for c in members if c < 0)
+                masks.append(sum(1 << (s + offset) for s in naive_dilate_sum(elems, members)))
+            return masks
+
+        full, others, children = search._recurrence(len(coeffs))
+        names = {f"M{u}": mask for u, mask in enumerate(subset_masks(prefix))}
+        for t, (c, d) in enumerate(search._mask_plan(coeffs, r)):
+            names.update({f"C{t}": c, f"D{t}": d})
+        names["x"] = x
+        exec("\n".join([f"m = {full}", *others]), {}, names)
+        assert [names[name] for name in children] == subset_masks(prefix + (x,))
 
 
 class TestReflectionCut:
