@@ -27,7 +27,9 @@ from dataclasses import dataclass, field, replace
 
 from .backend import _fold_guard, fold_size
 from .components import (
+    _bitmask_route,
     _marginal_guard,
+    _reduced_masks,
     _require_odd_prime,
     component_count,
     decompose,
@@ -198,6 +200,25 @@ def _bound_full_semifull(a, m, size):
     )
 
 
+def _marginal_size(c, a, k):
+    """|M_C| = |marginal_set(c, a, k)| for a class c that decompose(a, k) gave.
+
+    Since c comes from decompose, marginal_set's scan that checks it is a
+    class of ``a`` is skipped; its range checks (``_marginal_guard``) run
+    first, so a refusal is the error marginal_set raises. On the bitmask
+    route nothing is read out: with C = m + k*Q, M_C is the image of
+    (A+2Q) minus (C+2Q) (see marginal_set), and C is a subset of A, so
+    C+2Q is a subset of A+2Q and the difference has
+    |A+2Q| - |C+2Q| elements, the popcounts of the two masks. On the merge
+    route the size is len(marginal_set(c, a, k)).
+    """
+    _marginal_guard(c, a, k)
+    if not _bitmask_route(c, a, k):
+        return len(marginal_set(c, a, k))
+    big, small = _reduced_masks(c, a, k)
+    return big.bit_count() - small.bit_count()
+
+
 def bound_marginal_total(a: IntSet, k: int) -> BoundReport:
     """Total marginal mass over the modulus-k components versus (c-1)c.
 
@@ -214,7 +235,7 @@ def bound_marginal_total(a: IntSet, k: int) -> BoundReport:
 # marginal set raises, it holds the residues summed before it.
 def _bound_marginal_total(a, k, sizes):
     for r, c in decompose(a, k).items():
-        sizes[r] = len(marginal_set(c, a, k))
+        sizes[r] = _marginal_size(c, a, k)
     c = len(sizes)
     odd_prime = is_odd_prime(k)
     return _report(
@@ -243,7 +264,7 @@ def check_faithful(a: IntSet, k: int, c_residue: int) -> BoundReport:
         a, k, c_residue,
         lambda: decompose(a, k),
         lambda block: component_count(block, k * k),
-        lambda block: len(marginal_set(block, a, k)),
+        lambda block: _marginal_size(block, a, k),
     )
 
 
@@ -478,12 +499,12 @@ def check_suite(a: IntSet, k: int):
     gap = a.span // canon.span if canon.span else 0
 
     def canon_marginal_size(block):
-        _marginal_guard(block, canon, k)
         if gap % k:
             size = marginal_sizes.get((a.min + gap * (block.min % k)) % k)
             if size is not None:
+                _marginal_guard(block, canon, k)
                 return size
-        return len(marginal_set(block, canon, k))
+        return _marginal_size(block, canon, k)
 
     blocks = decompose(canon, k)
     for residue, block in blocks.items():

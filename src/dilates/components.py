@@ -123,6 +123,25 @@ def _marginal_guard(c: IntSet, a: IntSet, k: int):
 MARGINAL_BITS_PER_ELEMENT = 16 * 64
 
 
+def _bitmask_route(c: IntSet, a: IntSet, k: int) -> bool:
+    """True when marginal_set folds bitmasks: the reduced span
+    2*max Q + span(A), with Q = (C - min C)/k, is at most
+    MARGINAL_BITS_PER_ELEMENT bits per element of ``a``."""
+    return 2 * ((c.max - c.min) // k) + a.span <= MARGINAL_BITS_PER_ELEMENT * len(a)
+
+
+def _reduced_masks(c: IntSet, a: IntSet, k: int):
+    """(A+2Q, C+2Q) as bitmasks aligned at min A: bit p marks min A + p.
+
+    Both are ``fold_mask`` results; the first term's least element is
+    the fold's base, since 0 is the least element of Q.
+    """
+    q = tuple((x - c.min) // k for x in c.elements)
+    big = backend._impl.fold_mask((1, 2), (a.elements, q))[1]
+    small = backend._impl.fold_mask((1, 2), (c.elements, q))[1]
+    return big, small << (c.min - a.min)
+
+
 def marginal_set(c: IntSet, a: IntSet, k: int):
     """Elements of 2*c + k*a that 2*c + k*c does not reach.
 
@@ -138,33 +157,36 @@ def marginal_set(c: IntSet, a: IntSet, k: int):
     within them. Both routes then take the marginal set as the image of
     the difference of the reduced sets, whose span 2*max Q + span(A) is
     about k times smaller than that of 2C+kA. While that span is at most
-    MARGINAL_BITS_PER_ELEMENT bits per element of ``a``, both are folded
-    as bitmasks, aligned at min A, and the marginal set is
-    ``big & ~small``, read out without a Python loop over the bits.
-    Otherwise A+2Q is merged pairwise and filtered against C+2Q. A bitmask
-    costs |C| shifts of the whole reduced span whatever |A| is, so on
-    sparse sets (uniform sets of a few hundred elements over spans of
-    1e5-1e6) it loses to the merge's |C|*|A| sums. On the 44 sets of one
-    pass of the benchmark's check workload, check_suite took 1.6-1.7 s of
-    CPU with the merge everywhere, 1.8-2.2 s with bitmasks everywhere, and
-    0.62-0.80, 0.67-0.78 and 0.84-0.88 s with this rule at 8, 16 and 64
-    words per element (fastest of three passes, two runs, Python 3.11,
-    2-CPU shared host), so 8 and 16 words are within the host's noise.
-    Folding both masks with fold_mask measured no slower than writing
-    mask(A) and mask(C) from binary digits.
+    MARGINAL_BITS_PER_ELEMENT bits per element of ``a``
+    (``_bitmask_route``), both are folded as bitmasks, aligned at min A,
+    and the marginal set is ``big & ~small``, read out without a Python
+    loop over the bits. Otherwise A+2Q is merged pairwise and filtered
+    against C+2Q. A bitmask costs |C| shifts of the whole reduced span
+    whatever |A| is, so on sparse sets (uniform sets of a few hundred
+    elements over spans of 1e5-1e6) it loses to the merge's |C|*|A|
+    sums. On the 44 sets of one pass of the benchmark's check workload,
+    check_suite took 1.6-1.7 s of CPU with the merge everywhere, 1.8-2.2 s
+    with bitmasks everywhere, and 0.62-0.80, 0.67-0.78 and 0.84-0.88 s
+    with this rule at 8, 16 and 64 words per element (fastest of three
+    passes, two runs, Python 3.11, 2-CPU shared host, measured while
+    check_suite still read every marginal set out), so 8 and 16 words are
+    within the host's noise. Folding both masks with fold_mask measured
+    no slower than writing mask(A) and mask(C) from binary digits.
+
+    The checkers need only |M_C|, which ``bounds._marginal_size`` counts
+    from the same masks by popcount, so the bitmask readout here serves
+    only callers of this function that want the elements.
     """
     _checked_component(c, a, k)
     _marginal_guard(c, a, k)
     base = 2 * c.min
+    if _bitmask_route(c, a, k):
+        big, small = _reduced_masks(c, a, k)
+        return backend._impl.mask_elements(base + k * a.min, big & ~small, k)
     q = IntSet._wrap(tuple((x - c.min) // k for x in c.elements))
-    if 2 * q.max + a.span > MARGINAL_BITS_PER_ELEMENT * len(a):
-        twice_q = dilate(q, 2)
-        big = minkowski_sum(twice_q, a)
-        # C+2Q is a subset of A+2Q, so it is formed as the kernel's raw
-        # set, with no checks, IntSet or sort.
-        small = backend._impl.sumset_elements(twice_q.elements, c.elements)
-        return tuple(base + k * y for y in big.elements if y not in small)
-    big_base, big = backend._impl.fold_mask((1, 2), (a.elements, q.elements))
-    small_base, small = backend._impl.fold_mask((1, 2), (c.elements, q.elements))
-    marginal = big & ~(small << (small_base - big_base))
-    return backend._impl.mask_elements(base + k * big_base, marginal, k)
+    twice_q = dilate(q, 2)
+    big = minkowski_sum(twice_q, a)
+    # C+2Q is a subset of A+2Q, so it is formed as the kernel's raw set,
+    # with no checks, IntSet or sort.
+    small = backend._impl.sumset_elements(twice_q.elements, c.elements)
+    return tuple(base + k * y for y in big.elements if y not in small)

@@ -424,10 +424,12 @@ class TestCheckSuite:
         ],
     )
     def test_builds_marginal_sets_once(self, monkeypatch, elems, k, shared):
+        # Each |M_C| is sized once: one size per class of A, plus one per
+        # faithful check when k divides the gap gcd.
         calls = []
-        real = dilates.bounds.marginal_set
+        real = dilates.bounds._marginal_size
         monkeypatch.setattr(
-            dilates.bounds, "marginal_set",
+            dilates.bounds, "_marginal_size",
             lambda c, target, m: calls.append(c) or real(c, target, m),
         )
         a = IntSet(elems)
@@ -582,17 +584,18 @@ class TestCheckSuite:
 
 
 def test_check_pool_records_pinned(perfbench_pool):
-    """One pool member per stratum of the benchmark's check workload
-    (member ``stratum % 8``) gives records with the pinned digest."""
+    """Every member of every stratum of the benchmark's check workload
+    (44 strata of 8 members) gives records with the pinned digest."""
     workloads, pins = perfbench_pool
     assert len(workloads.CHECK_STRATA) == 44
+    assert workloads.MEMBERS == 8
     mismatched = []
     for stratum in range(len(workloads.CHECK_STRATA)):
-        member = stratum % workloads.MEMBERS
-        elems, k = workloads.check_member(stratum, member)
-        records = workloads.records_json(check_suite(IntSet(elems), k))
-        if workloads.digest(records) != pins["check"][f"{stratum}:{member}"]:
-            mismatched.append(f"{stratum}:{member}")
+        for member in range(workloads.MEMBERS):
+            elems, k = workloads.check_member(stratum, member)
+            records = workloads.records_json(check_suite(IntSet(elems), k))
+            if workloads.digest(records) != pins["check"][f"{stratum}:{member}"]:
+                mismatched.append(f"{stratum}:{member}")
     assert mismatched == []
 
 

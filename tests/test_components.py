@@ -2,6 +2,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dilates import (
     ArithmeticRangeError,
@@ -19,7 +21,7 @@ from dilates import (
     minkowski_sum,
 )
 
-from dilates import backend, components
+from dilates import backend, bounds, components
 from dilates.backend import INT64_MAX
 
 from bruteforce import (
@@ -363,6 +365,62 @@ class TestMarginalRoutes:
             (9223372036851775805, 9223372036853275805),
             (9223372036850775805, 9223372036853775805),
         ]
+
+
+class TestMarginalSize:
+    """bounds._marginal_size, the checkers' |M_C|, against
+    len(marginal_set) and the brute-force oracle, with each route forced
+    through MARGINAL_BITS_PER_ELEMENT: 0 leaves the bitmask route only to
+    singleton sets (reduced span 0), a huge value takes it everywhere."""
+
+    @pytest.mark.parametrize("bits", [0, 10**9])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(-25, 25), min_size=1, max_size=10, unique=True),
+        st.integers(-60, 60),
+        st.sampled_from((1, 2, "k")),
+        st.sampled_from((3, 5, 7)),
+    )
+    def test_matches_marginal_set_and_oracle(self, bits, base, shift, gap, k):
+        g = k if gap == "k" else gap
+        a = IntSet(shift + g * x for x in base)
+        reads, sets = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(components, "MARGINAL_BITS_PER_ELEMENT", bits)
+            real_reads = backend._impl.mask_elements
+            mp.setattr(backend._impl, "mask_elements",
+                       lambda *args: reads.append(1) or real_reads(*args))
+            mp.setattr(bounds, "marginal_set",
+                       lambda *args: sets.append(1) or marginal_set(*args))
+            classes = decompose(a, k).values()
+            merges = 0
+            for c in classes:
+                merge_route = not components._bitmask_route(c, a, k)
+                assert merge_route == (bits == 0 and len(a) > 1)
+                merges += merge_route
+                size = bounds._marginal_size(c, a, k)
+                assert size == len(naive_marginal(c.elements, a.elements, k))
+                assert size == len(marginal_set(c, a, k))
+        # The size reads no mask out, and its merge route goes through
+        # bounds.marginal_set (one call per class); the rest are the
+        # comparisons' own calls.
+        assert len(reads) == len(classes) - merges
+        assert len(sets) == merges
+
+    def test_refusals_match_marginal_set(self):
+        # Dense (bitmask route) and sparse (merge route) sets whose range
+        # checks refuse some classes.
+        for elems in (
+            range(INT64_MAX // 3 - 40, INT64_MAX // 3 + 1),
+            [INT64_MAX // 2 - 10**9, INT64_MAX // 2 + 1],
+        ):
+            a = IntSet(elems)
+            for c in decompose(a, 3).values():
+                with pytest.raises(ArithmeticRangeError) as want:
+                    marginal_set(c, a, 3)
+                with pytest.raises(ArithmeticRangeError) as got:
+                    bounds._marginal_size(c, a, 3)
+                assert str(got.value) == str(want.value)
 
 
 def test_component_pieces_disjoint_modulo():
