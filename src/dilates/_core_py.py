@@ -1,10 +1,12 @@
 """Kernels: the pairwise merges and the bitmask fold with its readout.
 
 A bitmask is a Python int read against a base: bit p marks the value
-base + p. Two callers outside this module also work on masks:
-``components.marginal_set`` shifts and and-nots two ``fold_mask`` results
-and makes its own 64-bit checks, and ``search._walk`` builds one mask per
-subset of the coefficients. Dispatch and the fold's 64-bit precondition
+base + p. Callers outside this module also work on masks:
+``components._reduced_masks`` aligns two ``fold_mask`` results, which
+``components.marginal_set`` and-nots and reads out and
+``bounds._marginal_size`` only popcounts, each after its own 64-bit
+checks; and ``search._walk`` builds one mask per subset of the
+coefficients. Dispatch and the fold's 64-bit precondition
 checks live in ``backend``. Plain Python ints make every result exact
 regardless of operand size.
 

@@ -207,10 +207,10 @@ def _marginal_size(c, a, k):
     class of ``a`` is skipped; its range checks (``_marginal_guard``) run
     first, so a refusal is the error marginal_set raises. On the bitmask
     route nothing is read out: with C = m + k*Q, M_C is the image of
-    (A+2Q) minus (C+2Q) (see marginal_set), and C is a subset of A, so
-    C+2Q is a subset of A+2Q and the difference has
-    |A+2Q| - |C+2Q| elements, the popcounts of the two masks. On the merge
-    route the size is len(marginal_set(c, a, k)).
+    (A+2Q) minus (C+2Q) (see marginal_set). C is a subset of A, so C+2Q
+    is a subset of A+2Q, and the difference has |A+2Q| - |C+2Q|
+    elements, the popcounts of the two masks. On the merge route the size
+    is len(marginal_set(c, a, k)), called from this module.
     """
     _marginal_guard(c, a, k)
     if not _bitmask_route(c, a, k):
@@ -436,18 +436,19 @@ def check_suite(a: IntSet, k: int):
     A's when A has negative elements); when the fold on A raised, it folds
     the canonical set, whose smaller envelope may fit.
 
-    Each component's marginal set is built once, too. The marginal-total
-    checker runs on A and records |M_C| per residue of A; the faithful
-    checks run on the canonical set, canon = (A - min A)/g with g the gap
-    gcd, and share canon's decomposition. The same map sends 2C+kA and
-    2C+kC bijectively onto their canonical images, so |M_C| is the same on
-    both sides, and when k does not divide g it sends the classes of A mod
-    k onto those of canon: canon's class r is A's class (min A + g*r) mod
-    k. A faithful check first runs marginal_set's range checks on canon's
-    component, so an error record is the one it always was, and then
-    reuses A's size of that class. When k divides g (A lies in one class)
-    or the marginal-total checker raised before reaching that class, it
-    builds the marginal set on canon.
+    Each component's marginal set is sized once, too, by _marginal_size,
+    which counts a bitmask-route |M_C| without reading it out. The
+    marginal-total checker runs on A and records |M_C| per residue of A;
+    the faithful checks run on the canonical set, canon = (A - min A)/g
+    with g the gap gcd, and share canon's decomposition. The same map
+    sends 2C+kA and 2C+kC bijectively onto their canonical images, so
+    |M_C| is the same on both sides, and when k does not divide g it sends
+    the classes of A mod k onto those of canon: canon's class r is A's
+    class (min A + g*r) mod k. A faithful check first runs marginal_set's
+    range checks on canon's component, so an error record is the one it
+    always was, and then reuses A's size of that class. When k divides g
+    (A lies in one class) or the marginal-total checker raised before
+    reaching that class, it sizes the marginal set on canon.
     """
     _require_odd_prime(k)
     canon = canonicalize(a)

@@ -157,25 +157,25 @@ def marginal_set(c: IntSet, a: IntSet, k: int):
     within them. Both routes then take the marginal set as the image of
     the difference of the reduced sets, whose span 2*max Q + span(A) is
     about k times smaller than that of 2C+kA. While that span is at most
-    MARGINAL_BITS_PER_ELEMENT bits per element of ``a``
-    (``_bitmask_route``), both are folded as bitmasks, aligned at min A,
-    and the marginal set is ``big & ~small``, read out without a Python
-    loop over the bits. Otherwise A+2Q is merged pairwise and filtered
-    against C+2Q. A bitmask costs |C| shifts of the whole reduced span
-    whatever |A| is, so on sparse sets (uniform sets of a few hundred
-    elements over spans of 1e5-1e6) it loses to the merge's |C|*|A|
-    sums. On the 44 sets of one pass of the benchmark's check workload,
-    check_suite took 1.6-1.7 s of CPU with the merge everywhere, 1.8-2.2 s
-    with bitmasks everywhere, and 0.62-0.80, 0.67-0.78 and 0.84-0.88 s
-    with this rule at 8, 16 and 64 words per element (fastest of three
-    passes, two runs, Python 3.11, 2-CPU shared host, measured while
-    check_suite still read every marginal set out), so 8 and 16 words are
-    within the host's noise. Folding both masks with fold_mask measured
-    no slower than writing mask(A) and mask(C) from binary digits.
+    MARGINAL_BITS_PER_ELEMENT bits per element of ``a``, both are folded
+    as bitmasks, aligned at min A, and the marginal set is
+    ``big & ~small``, read out without a Python loop over the bits.
+    Otherwise A+2Q is merged pairwise and filtered against C+2Q. A bitmask
+    costs |C| shifts of the whole reduced span whatever |A| is, so on
+    sparse sets (uniform sets of a few hundred elements over spans of
+    1e5-1e6) it loses to the merge's |C|*|A| sums. On the 44 sets of one
+    pass of the benchmark's check workload, check_suite took 1.6-1.7 s of
+    CPU with the merge everywhere, 1.8-2.2 s with bitmasks everywhere, and
+    0.62-0.80, 0.67-0.78 and 0.84-0.88 s with this rule at 8, 16 and 64
+    words per element (fastest of three passes, two runs, Python 3.11,
+    2-CPU shared host), so 8 and 16 words are within the host's noise.
+    Folding both masks with fold_mask measured no slower than writing
+    mask(A) and mask(C) from binary digits.
 
     The checkers need only |M_C|, which ``bounds._marginal_size`` counts
     from the same masks by popcount, so the bitmask readout here serves
-    only callers of this function that want the elements.
+    only public callers that want the elements. The check_suite timings
+    above include reading every marginal set out.
     """
     _checked_component(c, a, k)
     _marginal_guard(c, a, k)
