@@ -6,9 +6,9 @@ base + p. Callers outside this module also work on masks:
 ``components.marginal_set`` and-nots and reads out and
 ``bounds._marginal_size`` only popcounts, each after its own 64-bit
 checks; and ``search._walk`` builds one mask per subset of the
-coefficients. Dispatch and the fold's 64-bit precondition
-checks live in ``backend``. Plain Python ints make every result exact
-regardless of operand size.
+coefficients. Dispatch and the fold's 64-bit precondition checks live in
+``backend``. Plain Python ints make every result exact regardless of
+operand size.
 
 A fold's first term is written into a bytearray in one pass and turned
 into an int once; each later term ORs one shifted copy of the running
