@@ -203,18 +203,16 @@ def _bound_full_semifull(a, m, size):
 def _marginal_size(c, a, k):
     """|M_C| = |marginal_set(c, a, k)| for a class c that decompose(a, k) gave.
 
-    Since c comes from decompose, marginal_set's scan that checks it is a
-    class of ``a`` is skipped; its range checks (``_marginal_guard``) run
-    first, so a refusal is the error marginal_set raises. On the bitmask
-    route nothing is read out: with C = m + k*Q, M_C is the image of
-    (A+2Q) minus (C+2Q) (see marginal_set). C is a subset of A, so C+2Q
-    is a subset of A+2Q, and the difference has |A+2Q| - |C+2Q|
-    elements, the popcounts of the two masks. On the merge route the size
-    is len(marginal_set(c, a, k)), called from this module.
+    A merge-route class goes to marginal_set, called from this module. On
+    the bitmask route nothing is read out: with C = m + k*Q, M_C is the
+    image of (A+2Q) minus (C+2Q) (see marginal_set), and C+2Q is a subset
+    of A+2Q, so |M_C| is the difference of their masks' popcounts. There
+    marginal_set's range checks run first, so a refusal is its error, and
+    its scan that checks c is a class of ``a`` is skipped.
     """
-    _marginal_guard(c, a, k)
     if not _bitmask_route(c, a, k):
         return len(marginal_set(c, a, k))
+    _marginal_guard(c, a, k)
     big, small = _reduced_masks(c, a, k)
     return big.bit_count() - small.bit_count()
 
@@ -260,59 +258,53 @@ def check_faithful(a: IntSet, k: int, c_residue: int) -> BoundReport:
     c_residue raises TypeError, and a bool counts as 0 or 1.
     """
     c_residue = operator.index(c_residue)
-    return _check_faithful(
-        a, k, c_residue,
-        lambda: decompose(a, k),
-        lambda block: component_count(block, k * k),
-        lambda block: _marginal_size(block, a, k),
-    )
+    hypotheses = _faithful_gates(a, k)
+    blocks = {}
+    if all(hypotheses.values()):
+        if not 0 <= c_residue < k:
+            raise ValueError(f"residue must be in [0, {k}), got {c_residue}")
+        blocks = decompose(a, k)
+    hypotheses.update(_component_hypotheses(blocks, k, c_residue))
+    if not all(hypotheses.values()):
+        return _report("faithful_component", GE, None, None, hypotheses,
+                       detail={"residue": c_residue})
+    return _faithful_report(hypotheses, blocks, c_residue,
+                            _marginal_size(blocks[c_residue], a, k))
 
 
-# _check_faithful takes ``decomposition``, a zero-argument callable giving
-# decompose(a, k), called once the gates hold; ``square_classes(block)``,
-# the component's class count modulo k**2; and ``marginal_size(block)``,
-# its |M_C|. check_suite passes the ones it has already computed.
-def _check_faithful(a, k, c_residue, decomposition, square_classes, marginal_size):
-    gates = {
+def _faithful_gates(a, k):
+    return {
         "odd_prime_k": is_odd_prime(k),
         "zero_in_set": 0 in a,
         "gcd_one": math.gcd(*a.elements) == 1,
     }
-    hypotheses = {
-        **gates,
-        "component_exists": False,
-        "component_not_semi_full": False,
-        "other_component_exists": False,
-    }
-    if all(gates.values()):
-        if not 0 <= c_residue < k:
-            raise ValueError(f"residue must be in [0, {k}), got {c_residue}")
-        blocks = decomposition()
-        block = blocks.get(c_residue)
-        others = [b for r, b in blocks.items() if r != c_residue]
-        if block is not None:
-            hypotheses.update(
-                component_exists=True,
-                component_not_semi_full=square_classes(block) < k,
-                other_component_exists=bool(others),
-            )
-    if not all(hypotheses.values()):
-        return _report("faithful_component", GE, None, None, hypotheses,
-                       detail={"residue": c_residue})
 
-    lhs = marginal_size(block)
-    rhs = max(len(b) for b in others)
-    cond_size = any(len(b) >= len(block) for b in others)
+
+def _component_hypotheses(blocks, k, residue):
+    """check_faithful's hypotheses on C = blocks[residue], from the
+    modulus-k decomposition ``blocks``; all False when C does not exist."""
+    c = blocks.get(residue)
+    return {
+        "component_exists": c is not None,
+        "component_not_semi_full": c is not None and component_count(c, k * k) < k,
+        "other_component_exists": c is not None and len(blocks) > 1,
+    }
+
+
+def _faithful_report(hypotheses, blocks, residue, lhs):
+    """check_faithful's report on an eligible C = blocks[residue], lhs = |M_C|."""
+    block = blocks[residue]
+    others = sorted(len(b) for r, b in blocks.items() if r != residue)
+    cond_size = others[-1] >= len(block)
     cond_parity = component_count(block, 2) < 2
     faithful_required = cond_size or cond_parity
-    if faithful_required:
-        rhs = max(rhs, len(block))
+    rhs = max(others[-1], len(block)) if faithful_required else others[-1]
     return _report(
         "faithful_component", GE, lhs, rhs, hypotheses,
         detail={
-            "residue": c_residue,
+            "residue": residue,
             "component_size": len(block),
-            "other_sizes": sorted(len(b) for b in others),
+            "other_sizes": others,
             "larger_peer_condition": cond_size,
             "missing_parity_condition": cond_parity,
             "faithful_required": faithful_required,
@@ -508,14 +500,14 @@ def check_suite(a: IntSet, k: int):
         return _marginal_size(block, canon, k)
 
     blocks = decompose(canon, k)
-    for residue, block in blocks.items():
-        classes = component_count(block, k * k)
-        if len(blocks) < 2 or classes >= k:
-            continue
-        run(("faithful_component",),
-            lambda r=residue, n=classes: noted(_check_faithful(
-                canon, k, r, lambda: blocks, lambda _: n, canon_marginal_size)),
-            residue=residue, canonicalized=normalized)
+    gates = _faithful_gates(canon, k)
+    for residue in blocks:
+        hypotheses = {**gates, **_component_hypotheses(blocks, k, residue)}
+        if all(hypotheses.values()):
+            run(("faithful_component",),
+                lambda r=residue, h=hypotheses: noted(_faithful_report(
+                    h, blocks, r, canon_marginal_size(blocks[r]))),
+                residue=residue, canonicalized=normalized)
 
     reports.sort(key=lambda r: (r.statement_id, r.detail.get("residue", -1)))
     return reports

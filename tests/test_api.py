@@ -1,12 +1,18 @@
 import importlib
+import json
 import os
 import re
+import subprocess
+import sys
 import types
+
+import pytest
 
 import dilates
 import dilates.backend
 
-README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+README = os.path.join(TESTS, os.pardir, "README.md")
 
 
 def test_all_lists_exactly_the_public_names():
@@ -57,3 +63,49 @@ def test_benchmark_names_resolve(perfbench_tracing):
         assert callable(getattr(dilates.backend._impl, name, None)), name
     # perfbench/run.py calls both.
     assert callable(dilates.backend_name) and callable(dilates.use_backend)
+
+
+# One seed-9001 pass untraced, then two traced passes, as perfbench/run.py
+# --trace 1 runs them; prints the tracer's self-check problems as JSON.
+TRACED_PASSES = """
+import importlib, json, os, sys
+root, workload = sys.argv[1:]
+bench = os.path.join(root, "perfbench")
+sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "tests"), bench]
+import tracing, workloads
+from bruteforce import naive_dilate_sum
+with open(os.path.join(bench, "pins.json")) as f:
+    pins = json.load(f)
+lib = importlib.import_module("dilates")
+cli = importlib.import_module("dilates.cli")
+ops = workloads.build_ops(workload, 9001, lib, cli, pins, naive_dilate_sum)
+for op in ops:
+    op.call()
+tracer = tracing.Tracer(lib.ArithmeticRangeError)
+sites = tracing.install(tracer, lib.backend._impl)
+pass_counts = []
+for _ in range(2):
+    before = tracer.snapshot()[0]
+    for op in ops:
+        op.call()
+    counts = tracer.snapshot()[0]
+    counts.subtract(before)
+    pass_counts.append(dict(+counts))
+problems = tracing.self_check(workload, set(sites), tracer.snapshot()[2], pass_counts)
+print(json.dumps(problems))
+"""
+
+
+@pytest.mark.parametrize("workload", ["probe", "search-mixed", "check", "sum"])
+def test_benchmark_trace_self_check(workload):
+    """The benchmark's traced run finds every site and count it requires.
+
+    Each workload runs in a fresh interpreter, since installing the tracer
+    rebinds functions in every loaded dilates module."""
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_PASSES, os.path.join(TESTS, os.pardir), workload],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dilates.bounds
@@ -445,6 +445,14 @@ class TestCheckSuite:
         st.sampled_from((1, 2, "k", "2k")),
         st.sampled_from((3, 5, 7)),
     )
+    # Canon's class 0 meets k - 1 classes mod k**2, so it is checked.
+    @example([0, 1, 5, 10, 15], 0, 1, 5)
+    # Canon's class 0 meets all k classes mod k**2, so only class 1 is.
+    @example([0, 1, 5, 10, 15, 20], 0, 1, 5)
+    # A lies in one class mod k; canon = {0, 1, 3} has two.
+    @example([0, 1, 3], 2, "k", 3)
+    # A and canon = {0} lie in one class, so nothing is checked.
+    @example([4], -7, 2, 5)
     def test_shared_marginal_sizes_match_public_checkers(self, base, shift, scale, k):
         g = {"k": k, "2k": 2 * k}.get(scale, scale)
         a = IntSet([shift + g * x for x in base])

@@ -334,6 +334,20 @@ class TestProbe:
         assert "--n-from" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--n", "3", "--range", "4"],
+        ["probe", "--n-from", "2", "--n-to", "3", "--range", "4"],
+    ],
+)
+def test_thirteen_coefficients_exit_two(capsys, argv):
+    coeffs = ",".join(str(c) for c in range(1, 14))
+    code, out, err = run_cli(capsys, *argv, "--coeffs", coeffs)
+    assert (code, out) == (2, "")
+    assert "at most 12 coefficients, got 13" in err
+
+
 class TestAp:
     def test_valid_progression(self, capsys):
         code, out, _ = run_cli(capsys, "ap", "--n", "40", "--k", "3")

@@ -293,6 +293,17 @@ class TestMinDilateSum:
         with pytest.raises(TypeError):
             SearchConfig(DilateSpec((2, 3)), 3, 12.0)
 
+    def test_refuses_thirteen_terms_before_compiling(self):
+        # test_pinned_counters pins a 12-term search.
+        twelve = tuple(c if c % 2 else -c for c in range(1, 13))
+        compiled = search._walk.cache_info().currsize
+        with pytest.raises(SearchConfigError, match="at most 12 coefficients, got 13"):
+            SearchConfig(DilateSpec(twelve + (13,)), 1, 4)
+        with pytest.raises(SearchConfigError, match="got 13"):
+            conjecture_probe(DilateSpec(twelve + (13,)), [3], 4)
+        assert search._walk.cache_info().currsize == compiled
+        SearchConfig(DilateSpec(twelve), 3, 4)
+
 
 class TestCompiledWalk:
     """The walk is compiled on first use, once per term count, and its
