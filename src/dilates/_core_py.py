@@ -2,8 +2,8 @@
 
 A bitmask is a Python int read against a base: bit p marks the value
 base + p. Callers outside this module also work on masks:
-``components._reduced_masks`` aligns two ``fold_mask`` results, which
-``components.marginal_set`` and-nots and reads out and
+``components._reduced_masks`` returns two ``fold_mask`` results, which
+``components.marginal_set`` aligns, and-nots and reads out and
 ``bounds._marginal_size`` only popcounts, each after its own 64-bit
 checks; and ``search._walk`` builds one mask per subset of the
 coefficients. Dispatch and the fold's 64-bit precondition checks live in

@@ -18,12 +18,14 @@ its kernel wrappers there, and the tests put kernel logs in its place:
     mask_elements(base, mask, step) -> base + step*p over set bits p
 
 This module wraps them with the 64-bit range checks and decides per call
-whether the bitmask route (span small enough) or the exact element merge
-runs; both routes give identical answers. Where elements are returned
-in order (``sumset`` and every step of ``fold_elements``'s merge) the
-merge is ``sorted_sumset``; ``fold_size`` counts ``sumset_elements``'s
-set, which on wide random sets of 12-300 elements builds 1.5-2.3 times
-faster than the sorted runs.
+whether the bitmask route or the exact element merge runs; both routes
+give identical answers. The bitmask runs while the fold's span is at most
+BITSET_SPAN_LIMIT and at most a set number of bits per sum the merge
+would form: FOLD_BITS_PER_SUM for ``fold_elements``, SIZE_BITS_PER_SUM
+for ``fold_size``. Where elements are returned in order (``sumset`` and
+every step of ``fold_elements``'s merge) the merge is ``sorted_sumset``;
+``fold_size`` counts ``sumset_elements``'s set, which on wide random sets
+of 12-300 elements builds 1.5-2.3 times faster than the sorted runs.
 """
 
 import math
@@ -47,6 +49,11 @@ MERGE_PAIR_LIMIT = 1 << 24
 # fold_elements takes the bitmask route while the fold's span is at most
 # this many bits per sum the merge would form; sparser folds merge.
 FOLD_BITS_PER_SUM = 8
+
+# fold_size takes the bitmask route while the fold's span is at most this
+# many bits per sum the merge would form; sparser folds count the merge
+# (see fold_size for the measured crossover).
+SIZE_BITS_PER_SUM = 128
 
 
 def backend_name():
@@ -137,13 +144,44 @@ def _fold_guard(terms):
 def fold_size(terms):
     """Exact |c0*S0 + c1*S1 + ...| for (coefficient, sorted elements) terms.
 
-    Above BITSET_SPAN_LIMIT it counts the merge's set; nothing is sorted,
-    and MergeLimitError can be raised there, at the same step and with
-    the same message as from fold_elements.
+    A fold whose span is at most BITSET_SPAN_LIMIT and at most
+    SIZE_BITS_PER_SUM bits per sum the merge would form (the product of
+    the term sizes) is a popcount of ``bitset_fold_size``. Any other fold
+    counts the merge's set; nothing is sorted, and MergeLimitError can be
+    raised there, at the same step and with the same message as from
+    fold_elements. Below BITSET_SPAN_LIMIT a merge forms fewer than
+    BITSET_SPAN_LIMIT / SIZE_BITS_PER_SUM sums, under MERGE_PAIR_LIMIT,
+    so the rule refuses nothing that the span limit alone answered.
+
+    The bitmask costs one shift of the fold's span per element of a
+    term, the merge one set entry per sum. Measured per fold (best of
+    three calls, Python 3.11, 2-CPU shared host), as the bitmask's time
+    over the merge's, median per stratum:
+    - the 352 folds 2A+kA of the benchmark's check pool and its 96 sized
+      dense sum folds: at most 0.35 up to 28 bits per sum, 0.24-1.06 at
+      34-69, 1.24 at 77, 0.79 at 88 (|A| = 100, (2, -7)), and 1.9-14
+      from 350 on;
+    - random sets, 30-300 elements with (2, 3), (2, 5), (2, 13) or
+      (-3, 7) and 15-60 with (1, -2, 4) or (2, 3, 5): 0.54 at 48 bits per
+      sum, 0.72 at 64, 0.90 at 96 and 1.12 at 128, the larger sets
+      crossing sooner.
+    One pass of the 44 check folds took 45-46 ms under this rule at 16 to
+    32 bits per sum, 43-44 ms at 48 and 64, 45 ms at 96 and 128, 87 ms at
+    FOLD_BITS_PER_SUM (8), and 54 ms with the bitmask everywhere.
+
+    Memory sets the threshold at the top of that range. The merge holds
+    each sum as an int in a hash set, about 60-85 bytes, where the
+    bitmask holds a few ints of the fold's span. At 64 bits per sum the
+    check fold of 300 elements over [0, 1e6] with k = 5 (90,000 sums at
+    77 bits each) merged: the largest traced allocation of one
+    check_suite call over the pool rose from 5.7 MB to 8.9 MB, and the
+    benchmark's check.peak_rss_mb from 28.8 to 32.0 MB in two runs. At
+    96 and 128 the largest was 3.3 MB.
     """
     terms = tuple(terms)
     span = _fold_guard(terms)
-    if span <= BITSET_SPAN_LIMIT:
+    sums = math.prod(len(e) for _, e in terms)
+    if span <= min(BITSET_SPAN_LIMIT, SIZE_BITS_PER_SUM * sums):
         coeffs = tuple(c for c, _ in terms)
         sets = tuple(e for _, e in terms)
         return _impl.bitset_fold_size(coeffs, sets)

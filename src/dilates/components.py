@@ -123,23 +123,28 @@ def _marginal_guard(c: IntSet, a: IntSet, k: int):
 MARGINAL_BITS_PER_ELEMENT = 16 * 64
 
 
-def _bitmask_route(c: IntSet, a: IntSet, k: int) -> bool:
-    """True when marginal_set folds bitmasks: the reduced span
+def _bitmask_route(c: IntSet, a: IntSet, k: int, bits_per_element: int) -> bool:
+    """True when the reduced sets are folded as bitmasks: their span
     2*max Q + span(A), with Q = (C - min C)/k, is at most
-    MARGINAL_BITS_PER_ELEMENT bits per element of ``a``."""
-    return 2 * ((c.max - c.min) // k) + a.span <= MARGINAL_BITS_PER_ELEMENT * len(a)
+    ``bits_per_element`` bits per element of ``a`` and at most
+    backend.BITSET_SPAN_LIMIT bits."""
+    span = 2 * ((c.max - c.min) // k) + a.span
+    return span <= min(backend.BITSET_SPAN_LIMIT, bits_per_element * len(a))
 
 
 def _reduced_masks(c: IntSet, a: IntSet, k: int):
-    """(A+2Q, C+2Q) as bitmasks aligned at min A: bit p marks min A + p.
+    """(A+2Q, C+2Q) as bitmasks: bit p of the first marks min A + p, bit p
+    of the second min C + p.
 
-    Both are ``fold_mask`` results; the first term's least element is
-    the fold's base, since 0 is the least element of Q.
+    Both are ``fold_mask`` results, whose base is the least sum; 0 is the
+    least element of Q. C+2Q = min C + (kQ + 2Q), so the second is the
+    fold 2Q+kQ, built from Q alone: no mask of C is written, and a
+    popcount needs no alignment with A.
     """
     q = tuple((x - c.min) // k for x in c.elements)
     big = backend._impl.fold_mask((1, 2), (a.elements, q))[1]
-    small = backend._impl.fold_mask((1, 2), (c.elements, q))[1]
-    return big, small << (c.min - a.min)
+    small = backend._impl.fold_mask((2, k), (q, q))[1]
+    return big, small
 
 
 def marginal_set(c: IntSet, a: IntSet, k: int):
@@ -172,17 +177,22 @@ def marginal_set(c: IntSet, a: IntSet, k: int):
     Folding both masks with fold_mask measured no slower than writing
     mask(A) and mask(C) from binary digits.
 
-    The checkers need only |M_C|, which ``bounds._marginal_size`` counts
-    from the same masks by popcount, so the bitmask readout here serves
-    only public callers that want the elements. The check_suite timings
-    above include reading every marginal set out.
+    Whatever the size of ``a``, a reduced span above
+    backend.BITSET_SPAN_LIMIT bits merges, and MERGE_PAIR_LIMIT refuses
+    a merge too large for it before anything is built.
+
+    The timings above read every marginal set out, and now only callers
+    that want the elements do. The checkers need only |M_C|, which
+    ``bounds._marginal_size`` counts from the same two masks by popcount,
+    under its own route rule.
     """
     _checked_component(c, a, k)
     _marginal_guard(c, a, k)
     base = 2 * c.min
-    if _bitmask_route(c, a, k):
+    if _bitmask_route(c, a, k, MARGINAL_BITS_PER_ELEMENT):
         big, small = _reduced_masks(c, a, k)
-        return backend._impl.mask_elements(base + k * a.min, big & ~small, k)
+        return backend._impl.mask_elements(
+            base + k * a.min, big & ~(small << (c.min - a.min)), k)
     q = IntSet._wrap(tuple((x - c.min) // k for x in c.elements))
     twice_q = dilate(q, 2)
     big = minkowski_sum(twice_q, a)

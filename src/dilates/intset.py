@@ -159,8 +159,9 @@ def dilate_sum(a: IntSet, spec) -> IntSet:
 def dilate_sum_size(a: IntSet, spec) -> int:
     """|dilate_sum(a, spec)|, counted without sorting any elements.
 
-    A fold within the bitmask span limit is a popcount; a wider one counts
-    the pairwise merge's set of sums.
+    A fold within the bitmask span limit and at most
+    backend.SIZE_BITS_PER_SUM bits per sum is a popcount; any other
+    counts the pairwise merge's set of sums.
     """
     spec = _coerce_spec(spec)
     return backend.fold_size(tuple((m, a.elements) for m in spec))

@@ -7,6 +7,7 @@ from dilates.backend import fold_elements, fold_size, sumset, use_backend
 from dilates.bounds import ap_recompute
 from dilates.errors import ArithmeticRangeError, MergeLimitError
 from dilates.intset import IntSet, dilate_sum, dilate_sum_size, minkowski_sum
+from dilates.search import SearchConfig, conjecture_probe, min_dilate_sum
 
 from bruteforce import naive_fold, naive_sumset
 
@@ -267,13 +268,66 @@ def test_wide_dilate_sum_merges_sorted_runs(monkeypatch):
 
 
 def test_sparse_fold_size_calls_one_kernel(monkeypatch):
-    # A span of 9e6 bits stays on the bitmask route: one kernel call, with
-    # the class split done inside it.
+    # A span of 9e6 bits over 10^4 sums, 900 bits per sum, is far above
+    # SIZE_BITS_PER_SUM: the fold's one step counts one set merge.
     elems = tuple(range(0, 10**6, 10**4))
+    terms = ((2, elems), (7, elems))
+    assert backend._fold_guard(terms) > backend.SIZE_BITS_PER_SUM * len(elems) ** 2
     log = _KernelLog()
     monkeypatch.setattr(backend, "_impl", log)
-    assert fold_size(((2, elems), (7, elems))) == len(naive_fold([(2, elems), (7, elems)]))
+    assert fold_size(terms) == len(naive_fold(terms))
+    assert log.names == ["sumset_elements"]
+
+
+def test_sparse_fold_size_merges_once_per_step(monkeypatch):
+    # Three terms within the span limit, at 5,600 bits per sum: two steps.
+    elems = (0, 7, 10**4, 3 * 10**4, 10**5 + 1)
+    terms = ((1, elems), (-2, elems), (4, elems))
+    assert backend._fold_guard(terms) <= backend.BITSET_SPAN_LIMIT
+    log = _KernelLog()
+    monkeypatch.setattr(backend, "_impl", log)
+    assert fold_size(terms) == len(naive_fold(terms))
+    assert log.names == ["sumset_elements"] * 2
+
+
+def test_dense_fold_size_takes_mask_route(monkeypatch):
+    # 300 x 300 sums over a span of 1,495 bits: one bitmask kernel call,
+    # with the class split done inside it.
+    elems = tuple(range(300))
+    terms = ((2, elems), (3, elems))
+    log = _KernelLog()
+    monkeypatch.setattr(backend, "_impl", log)
+    assert fold_size(terms) == len(naive_fold(terms))
     assert log.names == ["bitset_fold_size"]
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_fold_size_route_threshold(monkeypatch, delta):
+    # 4 x 2 = 8 sums, so the threshold is a span of SIZE_BITS_PER_SUM * 8.
+    threshold = backend.SIZE_BITS_PER_SUM * 8
+    terms = ((1, (0, 1, 2, 3)), (-1, (0, threshold - 3 + delta)))
+    assert backend._fold_guard(terms) == threshold + delta
+    log = _KernelLog()
+    monkeypatch.setattr(backend, "_impl", log)
+    assert fold_size(terms) == len(naive_fold(terms))
+    assert log.names == (["sumset_elements"] if delta > 0 else ["bitset_fold_size"])
+
+
+def test_search_seed_folds_take_mask_route(monkeypatch, perfbench_pool):
+    # The seed folds of the benchmark's probe rows and search-mixed slots,
+    # spec and negation, are dense (about 4 bits per sum): every fold a
+    # search makes stays on the bitmask, so neither workload merges.
+    workloads, _ = perfbench_pool
+    log = _KernelLog()
+    monkeypatch.setattr(backend, "_impl", log)
+    rows = conjecture_probe(
+        workloads.PROBE_COEFFS, sorted(workloads.PROBE_DEFICIENCIES), workloads.PROBE_RANGE
+    )
+    assert len(rows) == len(workloads.PROBE_DEFICIENCIES)
+    for slot in range(len(workloads.SEARCH_SLOTS)):
+        for member in (0, 1):
+            min_dilate_sum(SearchConfig(*workloads.search_member(slot, member)))
+    assert log.names and set(log.names) == {"bitset_fold_size"}
 
 
 def test_wide_fold_size_merges_once(monkeypatch):

@@ -27,6 +27,7 @@ from dilates.backend import INT64_MAX
 from bruteforce import (
     naive_canonical_family,
     naive_components,
+    naive_fold,
     naive_is_odd_prime,
     naive_marginal,
 )
@@ -369,9 +370,31 @@ class TestMarginalRoutes:
 
 class TestMarginalSize:
     """bounds._marginal_size, the checkers' |M_C|, against
-    len(marginal_set) and the brute-force oracle, with each route forced
-    through MARGINAL_BITS_PER_ELEMENT: 0 leaves the bitmask route only to
-    singleton sets (reduced span 0), a huge value takes it everywhere."""
+    len(marginal_set) and the brute-force oracle, with each count route
+    forced through MARGINAL_COUNT_BITS_PER_ELEMENT: 0 leaves the bitmask
+    route only to singleton sets (reduced span 0), a huge value takes it
+    everywhere."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.integers(-25, 25), min_size=1, max_size=10, unique=True),
+        st.integers(-60, 60),
+        st.sampled_from((1, 2, "k")),
+        st.sampled_from((3, 5, 7)),
+    )
+    def test_reduced_masks_match_oracle(self, base, shift, gap, k):
+        # The mask of C+2Q is the fold 2Q+kQ, built from Q alone, so
+        # |C+2Q| = |2Q+kQ|.
+        g = k if gap == "k" else gap
+        a = IntSet(shift + g * x for x in base)
+        for c in decompose(a, k).values():
+            q = [(x - c.min) // k for x in c.elements]
+            big, small = components._reduced_masks(c, a, k)
+            a_2q = naive_fold([(1, a.elements), (2, q)])
+            c_2q = naive_fold([(1, c.elements), (2, q)])
+            assert list(backend._impl.mask_elements(a.min, big)) == a_2q
+            assert list(backend._impl.mask_elements(c.min, small)) == c_2q
+            assert small.bit_count() == len(c_2q) == len(naive_fold([(2, q), (k, q)]))
 
     @pytest.mark.parametrize("bits", [0, 10**9])
     @settings(max_examples=150, deadline=None)
@@ -386,26 +409,68 @@ class TestMarginalSize:
         a = IntSet(shift + g * x for x in base)
         reads, sets = [], []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(components, "MARGINAL_BITS_PER_ELEMENT", bits)
+            mp.setattr(bounds, "MARGINAL_COUNT_BITS_PER_ELEMENT", bits)
+            # marginal_set's own threshold stays at most the count's, as
+            # the constants are, so a merge-route count merges there too.
+            mp.setattr(components, "MARGINAL_BITS_PER_ELEMENT",
+                       min(bits, components.MARGINAL_BITS_PER_ELEMENT))
             real_reads = backend._impl.mask_elements
             mp.setattr(backend._impl, "mask_elements",
                        lambda *args: reads.append(1) or real_reads(*args))
             mp.setattr(bounds, "marginal_set",
                        lambda *args: sets.append(1) or marginal_set(*args))
             classes = decompose(a, k).values()
-            merges = 0
+            merges = readouts = 0
             for c in classes:
-                merge_route = not components._bitmask_route(c, a, k)
+                merge_route = not components._bitmask_route(c, a, k, bits)
                 assert merge_route == (bits == 0 and len(a) > 1)
                 merges += merge_route
+                readouts += components._bitmask_route(
+                    c, a, k, components.MARGINAL_BITS_PER_ELEMENT)
                 size = bounds._marginal_size(c, a, k)
                 assert size == len(naive_marginal(c.elements, a.elements, k))
                 assert size == len(marginal_set(c, a, k))
         # The size reads no mask out, and its merge route goes through
         # bounds.marginal_set (one call per class); the rest are the
         # comparisons' own calls.
-        assert len(reads) == len(classes) - merges
+        assert len(reads) == readouts
         assert len(sets) == merges
+
+    def test_count_route_reaches_past_marginal_set(self):
+        # marginal_set pays an O(span) readout, the count does not, so the
+        # count keeps the bitmask over a wider span per element.
+        assert bounds.MARGINAL_COUNT_BITS_PER_ELEMENT >= components.MARGINAL_BITS_PER_ELEMENT
+        a = IntSet([0, 1, 3000, 9001])
+        c = decompose(a, 3)[0]
+        span = 2 * ((c.max - c.min) // 3) + a.span
+        assert components.MARGINAL_BITS_PER_ELEMENT * 4 < span
+        assert span <= bounds.MARGINAL_COUNT_BITS_PER_ELEMENT * 4
+        assert not components._bitmask_route(c, a, 3, components.MARGINAL_BITS_PER_ELEMENT)
+        assert components._bitmask_route(c, a, 3, bounds.MARGINAL_COUNT_BITS_PER_ELEMENT)
+        assert bounds._marginal_size(c, a, 3) == len(naive_marginal(c.elements, a.elements, 3))
+
+    def test_span_cap_sends_a_large_set_to_the_merge(self, monkeypatch):
+        # 99,834 elements over [0, 6e7]: per element, the reduced span of
+        # about 1e8 bits is within both thresholds, but it is above
+        # BITSET_SPAN_LIMIT, so both routes merge, and the merge's |C| x |A|
+        # pairs are refused before anything of that size is built.
+        a = IntSet(range(0, 6 * 10**7, 601))
+        assert len(a) > backend.BITSET_SPAN_LIMIT // components.MARGINAL_BITS_PER_ELEMENT
+
+        def no_mask(*args):
+            raise AssertionError("a bitmask was folded")
+
+        monkeypatch.setattr(backend._impl, "fold_mask", no_mask)
+        for c in decompose(a, 3).values():
+            span = 2 * ((c.max - c.min) // 3) + a.span
+            assert backend.BITSET_SPAN_LIMIT < span <= components.MARGINAL_BITS_PER_ELEMENT * len(a)
+            assert not components._bitmask_route(c, a, 3, bounds.MARGINAL_COUNT_BITS_PER_ELEMENT)
+            start = time.perf_counter()
+            with pytest.raises(MergeLimitError):
+                bounds._marginal_size(c, a, 3)
+            with pytest.raises(MergeLimitError):
+                marginal_set(c, a, 3)
+            assert time.perf_counter() - start < 1.0
 
     def test_refusals_match_marginal_set(self):
         # Dense (bitmask route) and sparse (merge route) sets whose range
