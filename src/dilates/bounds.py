@@ -200,25 +200,14 @@ def _bound_full_semifull(a, m, size):
     )
 
 
-# _marginal_size counts |M_C| by popcount while the reduced span
-# 2*max Q + span(A) is at most this many bits per element of A (96 machine
-# words) and at most BITSET_SPAN_LIMIT; sparser classes merge. The count
-# costs |Q| shifts of the reduced span, the merge |Q|*|A| sums. Measured
-# on the benchmark's check pool (352 sets, 1,644 classes; best of three
-# calls per class, Python 3.11, 2-CPU shared host), the count's time over
-# the merge's, median per stratum, was 0.9 and 0.7 at 4,500-5,500 bits
-# per element (|A| = 300 over [0, 1e6], k = 5 and 3), 1.3 at 7,500
-# (|A| = 150, k = 13), and 2.9 and 5.1 at 11,000-16,600 (|A| = 100, k = 3
-# and 7). Summed over the pool, in three runs, this threshold gave 86,
-# 107 and 88 ms per pass; 8192 gave 88, 110 and 90; 1024 (marginal_set's)
-# 99, 119 and 100; and the count everywhere 105, 125 and 104. It must stay
-# at least MARGINAL_BITS_PER_ELEMENT, so that a merge-route class also
-# merges in marginal_set and reads no mask out.
-MARGINAL_COUNT_BITS_PER_ELEMENT = 96 * 64
-
-
 def _marginal_size(c, a, k):
     """|M_C| = |marginal_set(c, a, k)| for a class c that decompose(a, k) gave.
+
+    The route is components._bitmask_route: the reduced span within
+    BITSET_SPAN_LIMIT and MARGINAL_COUNT_BITS_PER_ELEMENT bits per element
+    of ``a``, and bounded in work by MERGE_PAIR_LIMIT. marginal_set reads
+    a mask out only within that route, narrowed to FOLD_BITS_PER_SUM bits
+    per sum, so a class sent to marginal_set here merges there too.
 
     A merge-route class goes to marginal_set, called from this module. On
     the bitmask route nothing is read out: with C = m + k*Q, M_C is the
@@ -229,7 +218,7 @@ def _marginal_size(c, a, k):
     a refusal is its error, and its scan that checks c is a class of
     ``a`` is skipped.
     """
-    if not _bitmask_route(c, a, k, MARGINAL_COUNT_BITS_PER_ELEMENT):
+    if not _bitmask_route(c, a, k):
         return len(marginal_set(c, a, k))
     _marginal_guard(c, a, k)
     big, small = _reduced_masks(c, a, k)

@@ -118,18 +118,43 @@ def _marginal_guard(c: IntSet, a: IntSet, k: int):
     check_int64(2 * c.max + k * a.max, "sumset maximum")
 
 
-# The bitset route of marginal_set runs while its reduced span stays within
-# this many bits per element of A (16 machine words); sparser inputs merge.
-MARGINAL_BITS_PER_ELEMENT = 16 * 64
+# The marginal sets' one route constant. |M_C| is counted from bitmasks
+# while the reduced span is at most this many bits per element of A (96
+# machine words), within BITSET_SPAN_LIMIT, and, times |C|, within this many
+# times MERGE_PAIR_LIMIT. marginal_set reads a mask out only there, narrowed
+# to FOLD_BITS_PER_SUM bits per sum. _bitmask_route gives the measurements.
+MARGINAL_COUNT_BITS_PER_ELEMENT = 96 * 64
 
 
-def _bitmask_route(c: IntSet, a: IntSet, k: int, bits_per_element: int) -> bool:
-    """True when the reduced sets are folded as bitmasks: their span
-    2*max Q + span(A), with Q = (C - min C)/k, is at most
-    ``bits_per_element`` bits per element of ``a`` and at most
-    backend.BITSET_SPAN_LIMIT bits."""
+def _bitmask_route(c: IntSet, a: IntSet, k: int) -> bool:
+    """True when the checkers count |M_C| from bitmasks (see
+    bounds._marginal_size); marginal_set reads a mask out only within
+    this route. The reduced span 2*max Q + span(A), with
+    Q = (C - min C)/k, must be at most backend.BITSET_SPAN_LIMIT bits,
+    at most MARGINAL_COUNT_BITS_PER_ELEMENT bits per element of ``a``,
+    and at most MARGINAL_COUNT_BITS_PER_ELEMENT * MERGE_PAIR_LIMIT / |C|.
+
+    The count costs |Q| shifts of the reduced span, the merge |Q|*|A|
+    sums. Measured on the benchmark's check pool (352 sets, 1,644
+    classes; best of three calls per class, Python 3.11, 2-CPU shared
+    host), the count's time over the merge's, median per stratum, was 0.9
+    and 0.7 at 4,500-5,500 bits per element (|A| = 300 over [0, 1e6],
+    k = 5 and 3), 1.3 at 7,500 (|A| = 150, k = 13), and 2.9 and 5.1 at
+    11,000-16,600 (|A| = 100, k = 3 and 7). Summed over the pool, in three
+    runs, 96 words gave 86, 107 and 88 ms per pass; 128 words gave 88,
+    110 and 90; 16 words 99, 119 and 100; and the count everywhere 105,
+    125 and 104.
+
+    The last bound caps the count's work. At that many bits per element
+    the count's |C| shifts cost about what the merge's |C|*|A| sums do,
+    so a bitmask never does more work than the largest merge that
+    MERGE_PAIR_LIMIT allows; a class beyond it goes to the merge, which
+    refuses it at once if it is that large. The largest |C| * span of
+    the check pool, 2.7e8, is far below the cap of 1.03e11.
+    """
     span = 2 * ((c.max - c.min) // k) + a.span
-    return span <= min(backend.BITSET_SPAN_LIMIT, bits_per_element * len(a))
+    return span <= min(backend.BITSET_SPAN_LIMIT, MARGINAL_COUNT_BITS_PER_ELEMENT * len(a),
+                       MARGINAL_COUNT_BITS_PER_ELEMENT * backend.MERGE_PAIR_LIMIT // len(c))
 
 
 def _reduced_masks(c: IntSet, a: IntSet, k: int):
@@ -161,35 +186,41 @@ def marginal_set(c: IntSet, a: IntSet, k: int):
     (``_marginal_guard``) run once; every reduced sum and its image lie
     within them. Both routes then take the marginal set as the image of
     the difference of the reduced sets, whose span 2*max Q + span(A) is
-    about k times smaller than that of 2C+kA. While that span is at most
-    MARGINAL_BITS_PER_ELEMENT bits per element of ``a``, both are folded
-    as bitmasks, aligned at min A, and the marginal set is
+    about k times smaller than that of 2C+kA. Where the checkers count
+    |M_C| from bitmasks (_bitmask_route) and that span is at most
+    backend.FOLD_BITS_PER_SUM bits per sum |A|*|C| the merge would form,
+    both are folded as bitmasks, aligned at min A, and the marginal set is
     ``big & ~small``, read out without a Python loop over the bits.
-    Otherwise A+2Q is merged pairwise and filtered against C+2Q. A bitmask
-    costs |C| shifts of the whole reduced span whatever |A| is, so on
-    sparse sets (uniform sets of a few hundred elements over spans of
-    1e5-1e6) it loses to the merge's |C|*|A| sums. On the 44 sets of one
-    pass of the benchmark's check workload, check_suite took 1.6-1.7 s of
-    CPU with the merge everywhere, 1.8-2.2 s with bitmasks everywhere, and
-    0.62-0.80, 0.67-0.78 and 0.84-0.88 s with this rule at 8, 16 and 64
-    words per element (fastest of three passes, two runs, Python 3.11,
-    2-CPU shared host), so 8 and 16 words are within the host's noise.
-    Folding both masks with fold_mask measured no slower than writing
-    mask(A) and mask(C) from binary digits.
+    Otherwise A+2Q is merged pairwise and filtered against C+2Q, and
+    MERGE_PAIR_LIMIT refuses a merge too large for it before anything is
+    built. So every class read out here is one that
+    ``bounds._marginal_size`` counts by popcount, and every class it sends
+    here merges.
 
-    Whatever the size of ``a``, a reduced span above
-    backend.BITSET_SPAN_LIMIT bits merges, and MERGE_PAIR_LIMIT refuses
-    a merge too large for it before anything is built.
-
-    The timings above read every marginal set out, and now only callers
-    that want the elements do. The checkers need only |M_C|, which
-    ``bounds._marginal_size`` counts from the same two masks by popcount,
-    under its own route rule.
+    The readout costs |C| shifts of the reduced span and one pass over
+    it, the merge |C|*|A| sums, so bits per sum separate the routes, as
+    in backend.fold_elements; bits per element do not. Timed per
+    class with each route forced (best of three calls, Python 3.11, 2-CPU
+    shared host, five runs; BENCH_readout_rule.json), the bitmask was
+    faster in nearly every class below 8 bits per sum, in nine of ten at
+    8-10, in at most half at 10-16 and in none above; at 64-128 bits per
+    element it won in about three of four check-pool classes, and at
+    512-1024 in about half. On the 822 classes of four members of every
+    check stratum, this rule summed to 1.4-2.1% above the faster route
+    everywhere, and the former rule (16 machine words per element)
+    0.6-0.8%; the worst class took 1.4-2.1 times its
+    faster route here and 3.0-4.0 times there. On 216 random classes
+    (|A| of 50-2000, k of 3, 7 or 13, 4-4096 bits per element) this rule
+    summed to 3.4-4.2 s against 5.2-6.4 s, misrouted 10-13 classes
+    against 37-41, and its worst class took 1.4-1.8 times against 7.8-12.
+    Nearly every class this rule misroutes lies at 8-15 bits per sum,
+    where it merges and the bitmask is up to 2.1 times faster.
     """
     _checked_component(c, a, k)
     _marginal_guard(c, a, k)
     base = 2 * c.min
-    if _bitmask_route(c, a, k, MARGINAL_BITS_PER_ELEMENT):
+    span = 2 * ((c.max - c.min) // k) + a.span
+    if _bitmask_route(c, a, k) and span <= backend.FOLD_BITS_PER_SUM * len(a) * len(c):
         big, small = _reduced_masks(c, a, k)
         return backend._impl.mask_elements(
             base + k * a.min, big & ~(small << (c.min - a.min)), k)

@@ -218,15 +218,49 @@ def _set_with_reduced_span(rng, k, target, size):
         return a, decompose(a, k)[(c.min + shift) % k]
 
 
+def _set_with_class(rng, k, target, size, class_size):
+    """(a, c): a set of ``size`` elements, translated by a random offset,
+    and its modulus-k component c of ``class_size`` >= 2 elements, with
+    2*(max c - min c)/k + span(a) == target. Before the shift c holds 0,
+    the set's least element, and the set's top lies in another class."""
+    qmax = target // (k + 2)
+    while (target - 2 * qmax) % k == 0:
+        qmax -= 1
+    top = target - 2 * qmax
+    others = {top}
+    while len(others) < size - class_size:
+        x = rng.randrange(1, top)
+        if x % k:
+            others.add(x)
+    q = [0, qmax] + rng.sample(range(1, qmax), class_size - 2)
+    shift = rng.randint(-10**6, 10**6)
+    a = IntSet(shift + x for x in [k * y for y in q] + sorted(others))
+    return a, decompose(a, k)[shift % k]
+
+
 def _reduced_span(c, a, k):
     return 2 * (c.max - c.min) // k + a.span
 
 
+def _reads_out(c, a, k):
+    """marginal_set's route rule, written out: the count's bitmask route
+    (the reduced span within BITSET_SPAN_LIMIT and within
+    MARGINAL_COUNT_BITS_PER_ELEMENT bits per element of A, and |C| times
+    it within MARGINAL_COUNT_BITS_PER_ELEMENT * MERGE_PAIR_LIMIT),
+    narrowed to FOLD_BITS_PER_SUM bits per sum |A|*|C|."""
+    span = _reduced_span(c, a, k)
+    per_element = components.MARGINAL_COUNT_BITS_PER_ELEMENT
+    return (span <= backend.BITSET_SPAN_LIMIT
+            and span <= per_element * len(a)
+            and len(c) * span <= per_element * backend.MERGE_PAIR_LIMIT
+            and span <= backend.FOLD_BITS_PER_SUM * len(a) * len(c))
+
+
 class TestMarginalRoutes:
     """marginal_set against the brute-force oracle on both of its routes,
-    each on the residue-reduced sets A+2Q and C+2Q: bitmasks while the
-    reduced span is at most MARGINAL_BITS_PER_ELEMENT bits per element of
-    A, the merge above."""
+    each on the residue-reduced sets A+2Q and C+2Q: a bitmask readout
+    within the count's bitmask route while the reduced span is at most
+    FOLD_BITS_PER_SUM bits per sum |A|*|C|, the merge otherwise."""
 
     @staticmethod
     def _merges(monkeypatch):
@@ -244,7 +278,7 @@ class TestMarginalRoutes:
         The merge route forms A+2Q with one minkowski_sum and C+2Q as
         the kernel's raw set, so it adds exactly one call to ``merges``.
         """
-        merge_route = _reduced_span(c, a, k) > components.MARGINAL_BITS_PER_ELEMENT * len(a)
+        merge_route = not _reads_out(c, a, k)
         before = len(merges)
         got = marginal_set(c, a, k)
         assert list(got) == naive_marginal(c.elements, a.elements, k)
@@ -257,7 +291,9 @@ class TestMarginalRoutes:
         for target in (63, 64, 65, 127, 128, 129):
             for k in (2, 3, 4, 5, 9):
                 for _ in range(4):
-                    a, c = _set_with_reduced_span(rng, k, target, rng.randint(3, 9))
+                    # At least target/8 elements, so |A|*|C| >= span/8.
+                    size = rng.randint(-(-target // 8), target // 3)
+                    a, c = _set_with_reduced_span(rng, k, target, size)
                     assert _reduced_span(c, a, k) == target
                     assert not self._assert_oracle(c, a, k, merges)
         # A dense set stays on the bitmask route, so it forms no pairwise
@@ -271,11 +307,41 @@ class TestMarginalRoutes:
     def test_route_threshold(self, monkeypatch, delta):
         merges = self._merges(monkeypatch)
         rng = random.Random(23 + delta)
+        per_element = components.MARGINAL_COUNT_BITS_PER_ELEMENT
+        # The per-sum edge, FOLD_BITS_PER_SUM bits per sum |A|*|C|, far
+        # inside the count's bitmask route.
         for k in (3, 4, 7):
-            size = 4
-            target = components.MARGINAL_BITS_PER_ELEMENT * size + delta
-            a, c = _set_with_reduced_span(rng, k, target, size)
+            target = backend.FOLD_BITS_PER_SUM * 6 * 3 + delta
+            a, c = _set_with_class(rng, k, target, 6, 3)
+            assert components._bitmask_route(c, a, k)
             assert self._assert_oracle(c, a, k, merges) == (delta > 0)
+        # The per-element edge of the count's route, with |C| large enough
+        # that the per-sum rule holds on both sides: marginal_set and the
+        # count leave the bitmask together.
+        size, class_size = 800, 780
+        assert backend.FOLD_BITS_PER_SUM * class_size > per_element
+        a, c = _set_with_class(rng, 3, per_element * size + delta, size, class_size)
+        assert components._bitmask_route(c, a, 3) == (delta <= 0)
+        assert self._assert_oracle(c, a, 3, merges) == (delta > 0)
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_work_bound_edge(self, monkeypatch, delta):
+        # |C| * span at most MARGINAL_COUNT_BITS_PER_ELEMENT * MERGE_PAIR_LIMIT:
+        # with the pair limit lowered to 12, a class of 3 in a set of 6 is
+        # counted by bitmask up to 4 * MARGINAL_COUNT_BITS_PER_ELEMENT bits
+        # of reduced span, within the per-element rule, and one bit more
+        # sends it to the merge, which refuses its 18 pairs.
+        monkeypatch.setattr(backend, "MERGE_PAIR_LIMIT", 12)
+        per_element = components.MARGINAL_COUNT_BITS_PER_ELEMENT
+        a, c = _set_with_class(random.Random(31 + delta), 3, per_element * 4 + delta, 6, 3)
+        assert _reduced_span(c, a, 3) <= per_element * len(a)
+        assert components._bitmask_route(c, a, 3) == (delta <= 0)
+        if delta > 0:
+            with pytest.raises(MergeLimitError):
+                bounds._marginal_size(c, a, 3)
+        else:
+            assert bounds._marginal_size(c, a, 3) == len(
+                naive_marginal(c.elements, a.elements, 3))
 
     def test_random_both_routes(self, monkeypatch):
         merges = self._merges(monkeypatch)
@@ -341,8 +407,7 @@ class TestMarginalRoutes:
         a = IntSet(elems)
         got = []
         for c in decompose(a, 3).values():
-            merge_route = _reduced_span(c, a, 3) > components.MARGINAL_BITS_PER_ELEMENT * len(a)
-            assert merge_route == (not isinstance(elems, range))
+            assert _reads_out(c, a, 3) == isinstance(elems, range)
             with pytest.raises(ArithmeticRangeError) as err:
                 marginal_set(c, a, 3)
             got.append(str(err.value))
@@ -371,9 +436,9 @@ class TestMarginalRoutes:
 class TestMarginalSize:
     """bounds._marginal_size, the checkers' |M_C|, against
     len(marginal_set) and the brute-force oracle, with each count route
-    forced through MARGINAL_COUNT_BITS_PER_ELEMENT: 0 leaves the bitmask
-    route only to singleton sets (reduced span 0), a huge value takes it
-    everywhere."""
+    forced through components.MARGINAL_COUNT_BITS_PER_ELEMENT: 0 leaves
+    the bitmask route only to singleton sets (reduced span 0), a huge
+    value takes it everywhere."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -409,11 +474,7 @@ class TestMarginalSize:
         a = IntSet(shift + g * x for x in base)
         reads, sets = [], []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bounds, "MARGINAL_COUNT_BITS_PER_ELEMENT", bits)
-            # marginal_set's own threshold stays at most the count's, as
-            # the constants are, so a merge-route count merges there too.
-            mp.setattr(components, "MARGINAL_BITS_PER_ELEMENT",
-                       min(bits, components.MARGINAL_BITS_PER_ELEMENT))
+            mp.setattr(components, "MARGINAL_COUNT_BITS_PER_ELEMENT", bits)
             real_reads = backend._impl.mask_elements
             mp.setattr(backend._impl, "mask_elements",
                        lambda *args: reads.append(1) or real_reads(*args))
@@ -422,11 +483,10 @@ class TestMarginalSize:
             classes = decompose(a, k).values()
             merges = readouts = 0
             for c in classes:
-                merge_route = not components._bitmask_route(c, a, k, bits)
+                merge_route = not components._bitmask_route(c, a, k)
                 assert merge_route == (bits == 0 and len(a) > 1)
                 merges += merge_route
-                readouts += components._bitmask_route(
-                    c, a, k, components.MARGINAL_BITS_PER_ELEMENT)
+                readouts += _reads_out(c, a, k)
                 size = bounds._marginal_size(c, a, k)
                 assert size == len(naive_marginal(c.elements, a.elements, k))
                 assert size == len(marginal_set(c, a, k))
@@ -436,26 +496,53 @@ class TestMarginalSize:
         assert len(reads) == readouts
         assert len(sets) == merges
 
-    def test_count_route_reaches_past_marginal_set(self):
-        # marginal_set pays an O(span) readout, the count does not, so the
-        # count keeps the bitmask over a wider span per element.
-        assert bounds.MARGINAL_COUNT_BITS_PER_ELEMENT >= components.MARGINAL_BITS_PER_ELEMENT
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 400), min_size=1, max_size=40, unique=True),
+        st.sampled_from((1, 2, 7, 60, 500, 4000)),
+        st.integers(-10**6, 10**6),
+        st.sampled_from((3, 5, 7)),
+        st.sampled_from((4, 16, 64, components.MARGINAL_COUNT_BITS_PER_ELEMENT)),
+    )
+    def test_count_route_reaches_past_marginal_set(self, base, scale, shift, k, bits):
+        # Every class that marginal_set reads out is one that the count
+        # takes by bitmask, so no class both merges in the count and
+        # reads a mask out. Below its real value, the count's threshold
+        # binds before FOLD_BITS_PER_SUM does on these small sets.
+        a = IntSet(shift + scale * x for x in base)
+        reads, sets = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(components, "MARGINAL_COUNT_BITS_PER_ELEMENT", bits)
+            real_reads = backend._impl.mask_elements
+            mp.setattr(backend._impl, "mask_elements",
+                       lambda *args: reads.append(1) or real_reads(*args))
+            mp.setattr(bounds, "marginal_set",
+                       lambda *args: sets.append(1) or marginal_set(*args))
+            for c in decompose(a, k).values():
+                del reads[:], sets[:]
+                elements = marginal_set(c, a, k)
+                size = bounds._marginal_size(c, a, k)
+                assert size == len(elements)
+                assert not (reads and sets)
+        # The count's bitmask reaches past marginal_set's: it pays no
+        # O(span) readout, so it keeps the bitmask at any number of bits
+        # per sum.
         a = IntSet([0, 1, 3000, 9001])
         c = decompose(a, 3)[0]
         span = 2 * ((c.max - c.min) // 3) + a.span
-        assert components.MARGINAL_BITS_PER_ELEMENT * 4 < span
-        assert span <= bounds.MARGINAL_COUNT_BITS_PER_ELEMENT * 4
-        assert not components._bitmask_route(c, a, 3, components.MARGINAL_BITS_PER_ELEMENT)
-        assert components._bitmask_route(c, a, 3, bounds.MARGINAL_COUNT_BITS_PER_ELEMENT)
+        assert backend.FOLD_BITS_PER_SUM * len(a) * len(c) < span
+        assert not _reads_out(c, a, 3)
+        assert components._bitmask_route(c, a, 3)
         assert bounds._marginal_size(c, a, 3) == len(naive_marginal(c.elements, a.elements, 3))
 
     def test_span_cap_sends_a_large_set_to_the_merge(self, monkeypatch):
         # 99,834 elements over [0, 6e7]: per element, the reduced span of
-        # about 1e8 bits is within both thresholds, but it is above
+        # about 1e8 bits is within the count's threshold, but it is above
         # BITSET_SPAN_LIMIT, so both routes merge, and the merge's |C| x |A|
         # pairs are refused before anything of that size is built.
         a = IntSet(range(0, 6 * 10**7, 601))
-        assert len(a) > backend.BITSET_SPAN_LIMIT // components.MARGINAL_BITS_PER_ELEMENT
+        per_element = components.MARGINAL_COUNT_BITS_PER_ELEMENT
+        assert len(a) > backend.BITSET_SPAN_LIMIT // per_element
 
         def no_mask(*args):
             raise AssertionError("a bitmask was folded")
@@ -463,14 +550,39 @@ class TestMarginalSize:
         monkeypatch.setattr(backend._impl, "fold_mask", no_mask)
         for c in decompose(a, 3).values():
             span = 2 * ((c.max - c.min) // 3) + a.span
-            assert backend.BITSET_SPAN_LIMIT < span <= components.MARGINAL_BITS_PER_ELEMENT * len(a)
-            assert not components._bitmask_route(c, a, 3, bounds.MARGINAL_COUNT_BITS_PER_ELEMENT)
+            assert backend.BITSET_SPAN_LIMIT < span <= per_element * len(a)
+            assert not components._bitmask_route(c, a, 3)
             start = time.perf_counter()
             with pytest.raises(MergeLimitError):
                 bounds._marginal_size(c, a, 3)
             with pytest.raises(MergeLimitError):
                 marginal_set(c, a, 3)
             assert time.perf_counter() - start < 1.0
+
+    def test_work_bound_sends_a_large_class_to_the_merge(self, monkeypatch):
+        # The 20,001 multiples of 600 in [0, 1.2e7] form one class mod 3.
+        # Its reduced span, 2e7 bits, is within BITSET_SPAN_LIMIT and
+        # within 1,000 bits per element, but |C| shifts of it would cost
+        # more than the largest merge the pair limit allows. So both
+        # routes merge, and the merge refuses its 4e8 pairs at once.
+        a = IntSet(range(0, 12 * 10**6 + 1, 600))
+        (c,) = decompose(a, 3).values()
+        span = _reduced_span(c, a, 3)
+        per_element = components.MARGINAL_COUNT_BITS_PER_ELEMENT
+        assert span <= min(backend.BITSET_SPAN_LIMIT, per_element * len(a))
+        assert len(c) * span > per_element * backend.MERGE_PAIR_LIMIT
+        assert not components._bitmask_route(c, a, 3)
+
+        def no_mask(*args):
+            raise AssertionError("a bitmask was folded")
+
+        monkeypatch.setattr(backend._impl, "fold_mask", no_mask)
+        start = time.perf_counter()
+        with pytest.raises(MergeLimitError):
+            bounds._marginal_size(c, a, 3)
+        with pytest.raises(MergeLimitError):
+            marginal_set(c, a, 3)
+        assert time.perf_counter() - start < 1.0
 
     def test_refusals_match_marginal_set(self):
         # Dense (bitmask route) and sparse (merge route) sets whose range
