@@ -199,22 +199,23 @@ def marginal_set(c: IntSet, a: IntSet, k: int):
 
     The readout costs |C| shifts of the reduced span and one pass over
     it, the merge |C|*|A| sums, so bits per sum separate the routes, as
-    in backend.fold_elements; bits per element do not. Timed per
+    in backend.fold_elements, and bits per element do not. Timed per
     class with each route forced (best of three calls, Python 3.11, 2-CPU
-    shared host, five runs; BENCH_readout_rule.json), the bitmask was
-    faster in nearly every class below 8 bits per sum, in nine of ten at
-    8-10, in at most half at 10-16 and in none above; at 64-128 bits per
-    element it won in about three of four check-pool classes, and at
-    512-1024 in about half. On the 822 classes of four members of every
-    check stratum, this rule summed to 1.4-2.1% above the faster route
-    everywhere, and the former rule (16 machine words per element)
-    0.6-0.8%; the worst class took 1.4-2.1 times its
-    faster route here and 3.0-4.0 times there. On 216 random classes
-    (|A| of 50-2000, k of 3, 7 or 13, 4-4096 bits per element) this rule
-    summed to 3.4-4.2 s against 5.2-6.4 s, misrouted 10-13 classes
-    against 37-41, and its worst class took 1.4-1.8 times against 7.8-12.
-    Nearly every class this rule misroutes lies at 8-15 bits per sum,
-    where it merges and the bitmask is up to 2.1 times faster.
+    shared host, three runs; BENCH_readout_rule.json), the bitmask was
+    faster in every class below 6 bits per sum, in half or more at 6-8,
+    in under half at 8-10 and in none above 16. Per element there is no
+    such edge: on the check pool it won about half the classes at 64-128
+    bits, 92-95% at 128-256 and about half at 256-512. On the 822
+    classes of four members of every check stratum,
+    this rule summed to within 0.2% of the faster route everywhere and
+    misrouted 17-26 classes, the worst 1.24 times slower than the faster
+    route; the former rule (16 machine words per element) summed 2.2-2.6%
+    above it and misrouted 90-111, the worst 4.1-4.7 times slower. On 216
+    random classes (|A| of 50-2000, k of 3, 7 or 13, 4-4096 bits per
+    element) this rule summed 1.8-4.1% above the faster route and
+    misrouted 6-8 classes, the worst 1.24-1.43 times slower; the former
+    summed 45-49% above it and misrouted 44-46, the worst 10-14 times
+    slower. This rule's misroutes all lie at 6-12.5 bits per sum.
     """
     _checked_component(c, a, k)
     _marginal_guard(c, a, k)
